@@ -37,7 +37,7 @@ def run_census(hi, threads, tests):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--hi", type=int, default=5000, help="scan [2, hi]")
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=1, help="the scan runs on one thread")
     parser.add_argument(
         "--tests",
         nargs="+",

@@ -26,7 +26,6 @@ from .sequences import (
     parse_coefficient_text,
 )
 from .series import (
-    BigRat,
     IntSeries,
     LogSeries,
     RatSeries,
@@ -70,7 +69,6 @@ from .witnesses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRat",
     "BRUTE_FORCE_MAX_N",
     "BUILTIN_KINDS",
     "CENTRAL_BINOMIAL",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .compositae import CompositaeTable, compositae_dp
@@ -39,21 +38,6 @@ DEFAULT_ORDER = 64
 EXIT_OK = 0
 EXIT_WITNESSED = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its effective flag values."""
-
-    command: str
-    fmt: str = "text"
-    seq: str | None = None
-    order: int | None = None
-    n: int | None = None
-    test: str | None = None
-    lo: int = 2
-    hi: int | None = None
-    threads: int = 1
 
 
 class UsageError(ValueError):
@@ -161,88 +145,88 @@ def render_json(command: str, inputs: dict, result: dict) -> str:
 # ---------------------------------------------------------------------------
 # Commands.  Each returns (exit_code, stdout_text).
 
-def _build_series(cfg: RunConfig, order: int) -> IntSeries:
-    if cfg.seq is None:
+def _build_series(args: argparse.Namespace, order: int) -> IntSeries:
+    if args.seq is None:
         raise UsageError("--seq is required for this command")
-    return make_series(SequenceSpec(kind=cfg.seq, order=order))
+    return make_series(SequenceSpec(kind=args.seq, order=order))
 
 
-def _resolve_order(cfg: RunConfig, at_least: int = 1) -> int:
-    order = cfg.order if cfg.order is not None else max(DEFAULT_ORDER, at_least)
+def _resolve_order(args: argparse.Namespace, at_least: int = 1) -> int:
+    order = args.order if args.order is not None else max(DEFAULT_ORDER, at_least)
     if order < at_least:
         raise UsageError(f"--order {order} is below the largest requested n ({at_least})")
     return order
 
 
-def cmd_compositae(cfg: RunConfig) -> tuple[int, str]:
-    order = _resolve_order(cfg)
-    f = _build_series(cfg, order)
+def cmd_compositae(args: argparse.Namespace) -> tuple[int, str]:
+    order = _resolve_order(args)
+    f = _build_series(args, order)
     table = compositae_dp(f, order)
-    if cfg.fmt == "json":
+    if args.format == "json":
         return EXIT_OK, render_json(
-            "compositae", {"seq": cfg.seq, "order": order}, table_to_payload(table)
+            "compositae", {"seq": args.seq, "order": order}, table_to_payload(table)
         )
-    lines = [f"compositae triangle  seq={cfg.seq}  order={order}"]
+    lines = [f"compositae triangle  seq={args.seq}  order={order}"]
     for n in range(1, order + 1):
         lines.append(f"n={n}: " + " ".join(str(v) for v in table.row(n)))
     return EXIT_OK, "\n".join(lines)
 
 
-def cmd_loggf(cfg: RunConfig) -> tuple[int, str]:
-    order = _resolve_order(cfg)
-    f = _build_series(cfg, order)
+def cmd_loggf(args: argparse.Namespace) -> tuple[int, str]:
+    order = _resolve_order(args)
+    f = _build_series(args, order)
     ls = log_superposition(f, order)
-    if cfg.fmt == "json":
+    if args.format == "json":
         return EXIT_OK, render_json(
-            "loggf", {"seq": cfg.seq, "order": order}, loggf_to_payload(ls)
+            "loggf", {"seq": args.seq, "order": order}, loggf_to_payload(ls)
         )
-    lines = [f"log-superposition  seq={cfg.seq}  order={order}", "n\tng(n)\tg(n)\th(n)"]
+    lines = [f"log-superposition  seq={args.seq}  order={order}", "n\tng(n)\tg(n)\th(n)"]
     for n in range(1, order + 1):
         lines.append(f"{n}\t{ls.ng_at(n)}\t{ls.g.coeff(n)}\t{ls.h_at(n)}")
     return EXIT_OK, "\n".join(lines)
 
 
-def cmd_theorem(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.n is None:
+def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
+    if args.n is None:
         raise UsageError("--n is required for theorem")
-    order = _resolve_order(cfg, at_least=cfg.n)
-    f = _build_series(cfg, order)
-    value = theorem_sum(f, cfg.n)
-    if cfg.fmt == "json":
+    order = _resolve_order(args, at_least=args.n)
+    f = _build_series(args, order)
+    value = theorem_sum(f, args.n)
+    if args.format == "json":
         return EXIT_OK, render_json(
             "theorem",
-            {"seq": cfg.seq, "order": order, "n": cfg.n},
-            theorem_to_payload(cfg.n, value),
+            {"seq": args.seq, "order": order, "n": args.n},
+            theorem_to_payload(args.n, value),
         )
     verdict = "integral" if value.denominator == 1 else "NOT integral"
-    return EXIT_OK, f"theorem sum  seq={cfg.seq}  n={cfg.n}: {value} ({verdict})"
+    return EXIT_OK, f"theorem sum  seq={args.seq}  n={args.n}: {value} ({verdict})"
 
 
-def _run_witness(cfg: RunConfig) -> WitnessReport:
-    if cfg.test is None:
+def _run_witness(args: argparse.Namespace) -> WitnessReport:
+    if args.test is None:
         raise UsageError("--test is required for witness")
-    if cfg.n is None:
+    if args.n is None:
         raise UsageError("--n is required for witness")
-    n = cfg.n
-    if cfg.test == "fermat2":
+    n = args.n
+    if args.test == "fermat2":
         return witness_fermat2(n)
-    if cfg.test == "lucas":
+    if args.test == "lucas":
         return witness_lucas(n)
-    if cfg.test == CENTRAL_BINOMIAL:
+    if args.test == CENTRAL_BINOMIAL:
         return witness_central_binomial(n)
-    if cfg.test == "generic":
-        f = _build_series(cfg, max(n, cfg.order or n))
-        return witness_generic(f, n, series_id=cfg.seq or "series")
-    raise UsageError(f"unknown test {cfg.test!r}")
+    if args.test == "generic":
+        f = _build_series(args, max(n, args.order or n))
+        return witness_generic(f, n, series_id=args.seq or "series")
+    raise UsageError(f"unknown test {args.test!r}")
 
 
-def cmd_witness(cfg: RunConfig) -> tuple[int, str]:
-    report = _run_witness(cfg)
+def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
+    report = _run_witness(args)
     code = EXIT_OK if report.passes else EXIT_WITNESSED
-    if cfg.fmt == "json":
-        inputs = {"test": cfg.test, "n": cfg.n}
-        if cfg.test == "generic":
-            inputs["seq"] = cfg.seq
+    if args.format == "json":
+        inputs = {"test": args.test, "n": args.n}
+        if args.test == "generic":
+            inputs["seq"] = args.seq
         return code, render_json("witness", inputs, witness_to_payload(report))
     flags = []
     if report.is_pseudoprime:
@@ -257,19 +241,19 @@ def cmd_witness(cfg: RunConfig) -> tuple[int, str]:
     return code, text
 
 
-def cmd_scan(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.test is None:
+def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
+    if args.test is None:
         raise UsageError("--test is required for scan")
-    if cfg.hi is None:
+    if args.hi is None:
         raise UsageError("--hi is required for scan")
     series = None
-    if cfg.test == "generic":
-        series = _build_series(cfg, cfg.hi)
-    result = scan_pseudoprimes(cfg.test, cfg.lo, cfg.hi, threads=cfg.threads, series=series)
-    if cfg.fmt == "json":
-        inputs = {"test": cfg.test, "lo": cfg.lo, "hi": cfg.hi, "threads": cfg.threads}
-        if cfg.test == "generic":
-            inputs["seq"] = cfg.seq
+    if args.test == "generic":
+        series = _build_series(args, args.hi)
+    result = scan_pseudoprimes(args.test, args.lo, args.hi, threads=args.threads, series=series)
+    if args.format == "json":
+        inputs = {"test": args.test, "lo": args.lo, "hi": args.hi, "threads": args.threads}
+        if args.test == "generic":
+            inputs["seq"] = args.seq
         return EXIT_OK, render_json("scan", inputs, scan_to_payload(result))
     lines = [
         f"scan {result.test}  range=[{result.lo}, {result.hi}]  "
@@ -326,33 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=NAMED_TESTS + ("generic",), required=True)
     p.add_argument("--lo", type=int, default=2)
     p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="must be >= 1; the scan runs on one thread"
+    )
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        fmt=getattr(args, "format", "text"),
-        seq=getattr(args, "seq", None),
-        order=getattr(args, "order", None),
-        n=getattr(args, "n", None),
-        test=getattr(args, "test", None),
-        lo=getattr(args, "lo", 2),
-        hi=getattr(args, "hi", None),
-        threads=getattr(args, "threads", 1),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        code, output = _COMMANDS[cfg.command](cfg)
+        code, output = _COMMANDS[args.command](args)
     except (UsageError, CoefficientFileError, ValueError) as exc:
-        print(f"logseries {cfg.command}: error: {exc}", file=sys.stderr)
+        print(f"logseries {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(output)
     return code

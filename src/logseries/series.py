@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-BigRat = Fraction
-
 RationalLike = int | Fraction
 
 

@@ -13,10 +13,17 @@ and n*g(n) is always an integer when f is an integer sequence; dropping
 the k = n term gives a sum that is integral whenever n is prime.  The
 checks below expose those quantities exactly and loudly fail if the
 integral ones ever come out non-integral.
+
+Every sum here is one weighted compositae row sum
+sum_k F_delta(n, k) w(k), computed by the single kernel _row_sum: w(k) is
+r(k) for z(n), 1/k for g(n) and the theorem sum n*g(n), and the weight
+list stops at k = n - 1 for the sums that drop the k = n term.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +54,23 @@ def _require_table(f: IntSeries, order: int, table: CompositaeTable | None) -> C
     if table.order < order:
         raise ValueError(f"supplied table order {table.order} < required {order}")
     return table
+
+
+def _row_sum(row: Sequence[int], weights: Sequence[Fraction]) -> Fraction:
+    """Exact sum of row[k-1] * weights[k-1] over k = 1..min(len(row), len(weights)).
+
+    The terms are scaled to the lcm of the weight denominators and added
+    as integers, so one Fraction is built per row rather than one per
+    term.  Fewer weights than row entries drop the trailing terms.
+    """
+    terms = [(v, w) for v, w in zip(row, weights) if v and w]
+    den = math.lcm(*(w.denominator for _, w in terms))
+    return Fraction(sum(v * w.numerator * (den // w.denominator) for v, w in terms), den)
+
+
+def _reciprocals(n: int) -> list[Fraction]:
+    """The weights 1/k for k = 1..n."""
+    return [Fraction(1, k) for k in range(1, n + 1)]
 
 
 @dataclass(frozen=True, eq=True)
@@ -110,16 +134,9 @@ def superpose(
             f"order {order} exceeds an input order (r: {r.order}, f: {f.order})"
         )
     tab = _require_table(f, order, table)
-    coeffs: dict[int, Fraction] = {}
-    if r.coeff(0):
-        coeffs[0] = r.coeff(0)
-    for n in range(1, order + 1):
-        row = tab.row(n)
-        coeffs[n] = sum(
-            (row[k - 1] * r.coeff(k) for k in range(1, n + 1) if row[k - 1]),
-            Fraction(0),
-        )
-    z = RatSeries(order, coeffs)
+    weights = [r.coeff(k) for k in range(1, order + 1)]
+    coeffs = {n: _row_sum(tab.row(n), weights) for n in range(1, order + 1)}
+    z = RatSeries(order, {0: r.coeff(0)} | coeffs)
     n_times_z = tuple(n * z.coeff(n) for n in range(1, order + 1))
     return SuperpositionResult(z=z, n_times_z=n_times_z, source=(r_id, f_id))
 
@@ -144,32 +161,34 @@ def compose_truncated(r: RatSeries, f: IntSeries, order: int) -> RatSeries:
     return acc
 
 
-def log_superposition(
-    f: IntSeries, order: int, *, table: CompositaeTable | None = None
-) -> LogSuperposition:
+def log_superposition(f: IntSeries, order: int) -> LogSuperposition:
     """G = ln(1/(1-F)) coefficients g(n), their integer scalings, and h(n).
 
-    g(n) = sum_k F_delta(n,k)/k is assembled from exact rationals and
-    n*g(n) is then asserted integral; a failure raises IntegralityError
-    and indicates an arithmetic bug, not a property of f.
+    g is superpose() with r(k) = 1/k, and n*g(n) is then asserted
+    integral; a failure raises IntegralityError and indicates an
+    arithmetic bug, not a property of f.
     """
-    tab = _require_table(f, order, table)
-    g_coeffs: dict[int, Fraction] = {}
-    ng: list[int] = []
-    h: list[int] = []
-    for n in range(1, order + 1):
-        row = tab.row(n)
-        gn = sum((Fraction(row[k - 1], k) for k in range(1, n + 1) if row[k - 1]), Fraction(0))
-        ngn = n * gn
+    tab = compositae_dp(f, order)
+    result = superpose(LogSeries.ones(order).to_rat(), f, order, table=tab)
+    for n, ngn in enumerate(result.n_times_z, start=1):
         if ngn.denominator != 1:
             raise IntegralityError(
                 f"n*g(n) must be integral but n={n} gave {ngn}; "
                 "this signals a defect in the compositae arithmetic"
             )
-        g_coeffs[n] = gn
-        ng.append(int(ngn))
-        h.append(sum(row))
-    return LogSuperposition(order=order, g=RatSeries(order, g_coeffs), ng=tuple(ng), h=tuple(h))
+    return LogSuperposition(
+        order=order,
+        g=result.z,
+        ng=tuple(int(ngn) for ngn in result.n_times_z),
+        h=tuple(sum(row) for row in tab.rows),
+    )
+
+
+def _check_n(f: IntSeries, n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if n > f.order:
+        raise ValueError(f"n={n} exceeds series order {f.order}")
 
 
 def theorem_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None) -> Fraction:
@@ -178,13 +197,8 @@ def theorem_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None) -
     Integral for every integer series f; returned as a Fraction so the
     caller can check that fact rather than trust it.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > f.order:
-        raise ValueError(f"n={n} exceeds series order {f.order}")
-    tab = _require_table(f, n, table)
-    row = tab.row(n)
-    return sum((Fraction(n * row[k - 1], k) for k in range(1, n + 1) if row[k - 1]), Fraction(0))
+    _check_n(f, n)
+    return n * _row_sum(_require_table(f, n, table).row(n), _reciprocals(n))
 
 
 def corollary_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None) -> Fraction:
@@ -194,55 +208,28 @@ def corollary_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None)
     so the exact rational is returned for the caller to inspect.  n = 1
     gives the empty sum 0.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > f.order:
-        raise ValueError(f"n={n} exceeds series order {f.order}")
-    if n == 1:
-        return Fraction(0)
-    tab = _require_table(f, n, table)
-    row = tab.row(n)
-    return sum((Fraction(row[k - 1], k) for k in range(1, n) if row[k - 1]), Fraction(0))
+    _check_n(f, n)
+    return _row_sum(_require_table(f, n, table).row(n), _reciprocals(n - 1))
 
 
-def statement21_check(
-    f: IntSeries, a: LogSeries, order: int, *, table: CompositaeTable | None = None
-) -> list[Fraction]:
+def statement21_check(f: IntSeries, a: LogSeries, order: int) -> list[Fraction]:
     """Derivative-superposition values zdot(n) = sum_k (n/k) F_delta(n,k) a(k).
 
+    zdot(n) is n*z(n) for Z = superpose(A, F) with A = sum a(k)/k x^k.
     Every entry must be integral for integer f and a; a non-integral
     entry raises IntegralityError since it would falsify that property.
     """
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    if f.order < order or a.order < order:
-        raise ValueError(
-            f"order {order} exceeds an input order (f: {f.order}, a: {a.order})"
-        )
-    tab = _require_table(f, order, table)
-    values: list[Fraction] = []
-    for n in range(1, order + 1):
-        row = tab.row(n)
-        zdot = sum(
-            (
-                Fraction(n * row[k - 1] * a.coeff_a(k), k)
-                for k in range(1, n + 1)
-                if row[k - 1]
-            ),
-            Fraction(0),
-        )
+    values = list(superpose(a.to_rat(), f, order).n_times_z)
+    for n, zdot in enumerate(values, start=1):
         if zdot.denominator != 1:
             raise IntegralityError(
                 f"derivative superposition value at n={n} is {zdot}, not an integer; "
                 "this would falsify the integrality property"
             )
-        values.append(zdot)
     return values
 
 
-def statement22_check(
-    f: IntSeries, a: LogSeries, n: int, *, table: CompositaeTable | None = None
-) -> Fraction:
+def statement22_check(f: IntSeries, a: LogSeries, n: int) -> Fraction:
     """Truncated superposition sum_{k=1}^{n-1} (a(k)/k) * F_delta(n, k).
 
     Integral whenever n is prime; returned exactly with no primality
@@ -252,14 +239,8 @@ def statement22_check(
         raise ValueError("n must be a positive integer")
     if f.order < n or a.order < n - 1:
         raise ValueError(f"n={n} exceeds an input order (f: {f.order}, a: {a.order})")
-    if n == 1:
-        return Fraction(0)
-    tab = _require_table(f, n, table)
-    row = tab.row(n)
-    return sum(
-        (Fraction(row[k - 1] * a.coeff_a(k), k) for k in range(1, n) if row[k - 1]),
-        Fraction(0),
-    )
+    weights = [Fraction(a.coeff_a(k), k) for k in range(1, n)]
+    return _row_sum(compositae_dp(f, n).row(n), weights)
 
 
 def derivative_identity_residual(f: IntSeries) -> RatSeries:

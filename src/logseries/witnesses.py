@@ -13,16 +13,16 @@ have closed forms and run in modular arithmetic without any series:
     x + x^2:                residue of L_n - 1            (lucas)
     shifted Catalan:        residue of C(2n-1, n-1) - 1   (central-binomial)
 
-Ground-truth primality is deterministic: trial division below 10^6 and
-fixed-base Miller-Rabin above (the 12-prime base set is deterministic
-for n < 3.3e24), so witness verdicts are always checked against an
-independent fact.
+Ground-truth primality is trial division below 10^6 and fixed-base
+Miller-Rabin above.  The 13 prime bases 2..41 are proven deterministic
+for n < 3317044064679887385961981 (Sorenson and Webster, 2017), so
+witness verdicts are checked against an independent fact there; above
+that bound the ground truth is only probable.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .series import IntSeries
@@ -39,11 +39,15 @@ NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 CENTRAL_BINOMIAL_DEFAULT_BOUND = 10**5
 
 _TRIAL_DIVISION_BOUND = 10**6
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: trial division, then fixed-base Miller-Rabin."""
+    """Primality by trial division, then fixed-base Miller-Rabin.
+
+    Deterministic for n < 3317044064679887385961981; above that a True
+    means only "probable prime".
+    """
     if n < 2:
         return False
     if n < _TRIAL_DIVISION_BOUND:
@@ -165,6 +169,14 @@ def witness_lucas(n: int) -> WitnessReport:
     return _report(n, LUCAS, (lucas_number(n, mod=n) - 1) % n)
 
 
+def _check_binomial_bound(n: int, bound: int) -> None:
+    if n > bound:
+        raise ValueError(
+            f"n={n} exceeds the exact-binomial bound {bound}; a modular path for "
+            "composite moduli is out of scope"
+        )
+
+
 def witness_central_binomial(
     n: int, *, bound: int = CENTRAL_BINOMIAL_DEFAULT_BOUND
 ) -> WitnessReport:
@@ -176,11 +188,7 @@ def witness_central_binomial(
     """
     if n < 2:
         raise ValueError("witness requires n >= 2")
-    if n > bound:
-        raise ValueError(
-            f"n={n} exceeds the exact-binomial bound {bound}; a modular path for "
-            "composite moduli is out of scope"
-        )
+    _check_binomial_bound(n, bound)
     return _report(n, CENTRAL_BINOMIAL, (math.comb(2 * n - 1, n - 1) - 1) % n)
 
 
@@ -233,7 +241,29 @@ def _witness_for(test: str, series: IntSeries | None):
     raise ValueError(f"unknown witness test {test!r}")
 
 
-def _scan_chunk(witness, lo: int, hi: int) -> tuple[list[int], int, int]:
+def scan_pseudoprimes(
+    test: str,
+    lo: int,
+    hi: int,
+    *,
+    threads: int = 1,
+    series: IntSeries | None = None,
+) -> ScanResult:
+    """Every composite n in [lo, hi] that the named witness fails to flag.
+
+    The scan runs on one thread, in one ascending pass.  `threads` must
+    be >= 1 and is otherwise unused: the witnesses are pure Python, so
+    under the interpreter lock a second thread gave no speedup.  The
+    whole range is validated before the first witness runs.
+    """
+    if not (2 <= lo <= hi):
+        raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if test == CENTRAL_BINOMIAL:
+        _check_binomial_bound(hi, CENTRAL_BINOMIAL_DEFAULT_BOUND)
+    witness = _witness_for(test, series)
+
     pseudo: list[int] = []
     primes = 0
     composites = 0
@@ -245,43 +275,6 @@ def _scan_chunk(witness, lo: int, hi: int) -> tuple[list[int], int, int]:
             composites += 1
             if report.passes:
                 pseudo.append(n)
-    return pseudo, primes, composites
-
-
-def scan_pseudoprimes(
-    test: str,
-    lo: int,
-    hi: int,
-    *,
-    threads: int = 1,
-    series: IntSeries | None = None,
-) -> ScanResult:
-    """Every composite n in [lo, hi] that the named witness fails to flag.
-
-    The range is split into disjoint contiguous chunks that may run
-    concurrently; the merge re-sorts, so results are identical for any
-    thread count.
-    """
-    if not (2 <= lo <= hi):
-        raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    witness = _witness_for(test, series)
-
-    nchunks = min(threads, hi - lo + 1)
-    size = (hi - lo + 1 + nchunks - 1) // nchunks
-    bounds = [(lo + i * size, min(lo + (i + 1) * size - 1, hi)) for i in range(nchunks)]
-    bounds = [(a, b) for a, b in bounds if a <= b]
-
-    if len(bounds) == 1:
-        chunks = [_scan_chunk(witness, lo, hi)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            chunks = list(pool.map(lambda ab: _scan_chunk(witness, *ab), bounds))
-
-    pseudo = sorted(n for chunk in chunks for n in chunk[0])
-    primes = sum(chunk[1] for chunk in chunks)
-    composites = sum(chunk[2] for chunk in chunks)
     return ScanResult(
         lo=lo,
         hi=hi,

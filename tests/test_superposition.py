@@ -19,7 +19,6 @@ from logseries import (
     RatSeries,
     compose_truncated,
     compositae_bruteforce,
-    compositae_dp,
     corollary_sum,
     derivative_identity_residual,
     geometric_inverse,
@@ -29,6 +28,7 @@ from logseries import (
     superpose,
     theorem_sum,
 )
+from logseries.superposition import _row_sum
 
 LUCAS_17 = [1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843, 1364, 2207, 3571]
 CATALAN_NG_10 = [1, 3, 10, 35, 126, 462, 1716, 6435, 24310, 92378]
@@ -53,6 +53,35 @@ def int_series(draw, min_order=1, max_order=10, lo=-9, hi=9):
         st.dictionaries(st.integers(1, order), st.integers(lo, hi), max_size=order)
     )
     return IntSeries(order, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# _row_sum, the kernel behind every weighted row sum
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(-(10**30), 10**30) | st.just(0), max_size=12),
+    st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=60) | st.just(Fraction(0)),
+        max_size=12,
+    ),
+)
+def test_row_sum_matches_per_term_fraction_sum(row, weights):
+    # oracle: one Fraction per term, summed, over the shorter of the two lists
+    n = min(len(row), len(weights))
+    per_term = sum(
+        (row[k - 1] * weights[k - 1] for k in range(1, n + 1) if row[k - 1]), Fraction(0)
+    )
+    assert _row_sum(row, weights) == per_term
+
+
+def test_row_sum_edge_cases():
+    assert _row_sum((5, 7), []) == 0
+    assert _row_sum((), [Fraction(1, 2)]) == 0
+    assert _row_sum((0, 0, 3), [Fraction(1, 3)] * 3) == 1
+    assert _row_sum((-4, 6, 9), [Fraction(1, 2), Fraction(-1, 3)]) == -4
+    assert _row_sum((2, 9), [Fraction(1, 4), Fraction(1, 4)]) == Fraction(11, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +174,6 @@ def test_log_superposition_accessors():
     assert ls.h_at(5) == 8
     with pytest.raises(IndexError):
         ls.ng_at(6)
-
-
-def test_log_superposition_accepts_precomputed_table():
-    f = ones(8)
-    table = compositae_dp(f, 8)
-    assert log_superposition(f, 8, table=table) == log_superposition(f, 8)
-    with pytest.raises(ValueError):
-        log_superposition(f, 8, table=compositae_dp(f, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logseries import witnesses
 from logseries import (
     COMPOSITE_WITNESSED,
     PASSES,
@@ -49,6 +50,7 @@ def test_is_prime_matches_trial_division_below_2000():
         (2**31 - 1, True),  # Mersenne prime
         (10**12 + 39, True),
         (3215031751, False),  # strong pseudoprime to bases 2,3,5,7
+        (318665857834031151167461, False),  # 399165290221 * 798330580441, strong to bases 2..37
         ((10**9 + 7) * (10**9 + 9), False),
         (2**35, False),
     ],
@@ -127,10 +129,17 @@ def test_central_binomial_examples():
     assert r2.passes
 
 
-def test_central_binomial_bound():
+def test_central_binomial_bound(monkeypatch):
     with pytest.raises(ValueError, match="bound"):
         witness_central_binomial(100_001)
     assert witness_central_binomial(101, bound=101).passes
+
+    def must_not_run(n):
+        pytest.fail(f"scan computed a binomial at n={n} before rejecting the range")
+
+    monkeypatch.setattr(witnesses, "witness_central_binomial", must_not_run)
+    with pytest.raises(ValueError, match="bound"):
+        scan_pseudoprimes("central-binomial", 99_990, 100_010)
 
 
 @pytest.mark.parametrize("witness", [witness_fermat2, witness_lucas, witness_central_binomial])
