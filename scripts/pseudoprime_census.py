@@ -15,11 +15,11 @@ from logseries import scan_pseudoprimes
 from logseries.witnesses import NAMED_TESTS
 
 
-def run_census(hi, threads, tests):
+def run_census(hi, tests):
     rows = []
     for test in tests:
         t0 = time.perf_counter()
-        result = scan_pseudoprimes(test, 2, hi, threads=threads)
+        result = scan_pseudoprimes(test, 2, hi)
         elapsed = time.perf_counter() - t0
         rows.append(
             {
@@ -37,7 +37,6 @@ def run_census(hi, threads, tests):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--hi", type=int, default=5000, help="scan [2, hi]")
-    parser.add_argument("--threads", type=int, default=1, help="the scan runs on one thread")
     parser.add_argument(
         "--tests",
         nargs="+",
@@ -52,7 +51,7 @@ def main():
 
     rows = []
     for test in args.tests:
-        rows += run_census(hi_by_test.get(test, args.hi), args.threads, [test])
+        rows += run_census(hi_by_test.get(test, args.hi), [test])
 
     print(f"{'test':18s} {'range':>12s} {'#pseudo':>8s} {'seconds':>8s}  pseudoprimes")
     for row in rows:

@@ -51,10 +51,10 @@ def show_named_log_superpositions():
     print()
 
 
-def show_pseudoprime_hunt(hi, threads):
-    print(f"exhaustive pseudoprime scan on [2, {hi}] ({threads} threads):")
+def show_pseudoprime_hunt(hi):
+    print(f"exhaustive pseudoprime scan on [2, {hi}]:")
     for test in ("fermat2", "lucas", "central-binomial"):
-        result = scan_pseudoprimes(test, 2, hi, threads=threads)
+        result = scan_pseudoprimes(test, 2, hi)
         listing = ", ".join(map(str, result.pseudoprimes)) or "(none)"
         print(
             f"  {test:17s} primes={result.primes_checked:4d} "
@@ -69,13 +69,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--order", type=int, default=64, help="order for the 2^n-1 sweep")
     parser.add_argument("--scan-hi", type=int, default=1000, help="upper end of the scan")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     show_six_term_example()
     show_mersenne_collapse(args.order)
     show_named_log_superpositions()
-    show_pseudoprime_hunt(args.scan_hi, args.threads)
+    show_pseudoprime_hunt(args.scan_hi)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ Output contract:
     rendered as decimal strings in JSON, never floats, so exactness
     survives any JSON parser.
   - Exit codes: 0 success (witness: passes), 1 composite-witnessed,
-    2 usage or input error.  Diagnostics go to stderr.
+    2 usage or input error, 3 internal error (an exact value that must
+    be an integer came out fractional).  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -20,13 +21,15 @@ from fractions import Fraction
 from .compositae import CompositaeTable, compositae_dp
 from .sequences import CoefficientFileError, SequenceSpec, make_series
 from .series import IntSeries
-from .superposition import LogSuperposition, log_superposition, theorem_sum
+from .superposition import IntegralityError, LogSuperposition, log_superposition, theorem_sum
 from .witnesses import (
-    CENTRAL_BINOMIAL,
+    GENERIC,
     NAMED_TESTS,
     ScanResult,
     WitnessReport,
+    _witness_for,
     scan_pseudoprimes,
+    # Not called here; bench/tracing.py wraps these names in this module too.
     witness_central_binomial,
     witness_fermat2,
     witness_generic,
@@ -38,6 +41,7 @@ DEFAULT_ORDER = 64
 EXIT_OK = 0
 EXIT_WITNESSED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(ValueError):
@@ -187,8 +191,6 @@ def cmd_loggf(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
-    if args.n is None:
-        raise UsageError("--n is required for theorem")
     order = _resolve_order(args, at_least=args.n)
     f = _build_series(args, order)
     value = theorem_sum(f, args.n)
@@ -202,30 +204,15 @@ def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, f"theorem sum  seq={args.seq}  n={args.n}: {value} ({verdict})"
 
 
-def _run_witness(args: argparse.Namespace) -> WitnessReport:
-    if args.test is None:
-        raise UsageError("--test is required for witness")
-    if args.n is None:
-        raise UsageError("--n is required for witness")
-    n = args.n
-    if args.test == "fermat2":
-        return witness_fermat2(n)
-    if args.test == "lucas":
-        return witness_lucas(n)
-    if args.test == CENTRAL_BINOMIAL:
-        return witness_central_binomial(n)
-    if args.test == "generic":
-        f = _build_series(args, max(n, args.order or n))
-        return witness_generic(f, n, series_id=args.seq or "series")
-    raise UsageError(f"unknown test {args.test!r}")
-
-
 def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
-    report = _run_witness(args)
+    series = None
+    if args.test == GENERIC:
+        series = _build_series(args, max(args.n, args.order or args.n))
+    report = _witness_for(args.test, series, series_id=args.seq)(args.n)
     code = EXIT_OK if report.passes else EXIT_WITNESSED
     if args.format == "json":
         inputs = {"test": args.test, "n": args.n}
-        if args.test == "generic":
+        if args.test == GENERIC:
             inputs["seq"] = args.seq
         return code, render_json("witness", inputs, witness_to_payload(report))
     flags = []
@@ -242,17 +229,13 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
-    if args.test is None:
-        raise UsageError("--test is required for scan")
-    if args.hi is None:
-        raise UsageError("--hi is required for scan")
     series = None
-    if args.test == "generic":
+    if args.test == GENERIC:
         series = _build_series(args, args.hi)
     result = scan_pseudoprimes(args.test, args.lo, args.hi, threads=args.threads, series=series)
     if args.format == "json":
         inputs = {"test": args.test, "lo": args.lo, "hi": args.hi, "threads": args.threads}
-        if args.test == "generic":
+        if args.test == GENERIC:
             inputs["seq"] = args.seq
         return EXIT_OK, render_json("scan", inputs, scan_to_payload(result))
     lines = [
@@ -302,12 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="run one compositeness witness at one n")
     common(p, seq=True)
-    p.add_argument("--test", choices=NAMED_TESTS + ("generic",), required=True)
+    p.add_argument("--test", choices=NAMED_TESTS + (GENERIC,), required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("scan", help="exhaustively hunt pseudoprimes in [lo, hi]")
     common(p, seq=True)
-    p.add_argument("--test", choices=NAMED_TESTS + ("generic",), required=True)
+    p.add_argument("--test", choices=NAMED_TESTS + (GENERIC,), required=True)
     p.add_argument("--lo", type=int, default=2)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument(
@@ -325,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, CoefficientFileError, ValueError) as exc:
         print(f"logseries {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except IntegralityError as exc:
+        print(f"logseries {args.command}: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(output)
     return code
 

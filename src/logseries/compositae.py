@@ -65,9 +65,6 @@ class CompositaeTable:
             raise IndexError(f"row {n} outside 1..{self.order}")
         return self.rows[n - 1]
 
-    def row_sum(self, n: int) -> int:
-        return sum(self.row(n))
-
 
 def compositae_dp(f: IntSeries, order: int) -> CompositaeTable:
     """Compositae triangle of f up to `order` by dynamic programming.

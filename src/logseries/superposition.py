@@ -77,13 +77,11 @@ def _reciprocals(n: int) -> list[Fraction]:
 class SuperpositionResult:
     """Coefficients of Z = R(F) plus the scaled sequence n*z(n).
 
-    n_times_z[i] holds (i+1) * z(i+1); source records identifiers of
-    the outer and inner series used.
+    n_times_z[i] holds (i+1) * z(i+1).
     """
 
     z: RatSeries
     n_times_z: tuple[Fraction, ...]
-    source: tuple[str, str]
 
     @property
     def order(self) -> int:
@@ -119,8 +117,6 @@ def superpose(
     f: IntSeries,
     order: int,
     *,
-    r_id: str = "R",
-    f_id: str = "F",
     table: CompositaeTable | None = None,
 ) -> SuperpositionResult:
     """Z = R(F) up to `order` via the compositae of f.
@@ -138,7 +134,7 @@ def superpose(
     coeffs = {n: _row_sum(tab.row(n), weights) for n in range(1, order + 1)}
     z = RatSeries(order, {0: r.coeff(0)} | coeffs)
     n_times_z = tuple(n * z.coeff(n) for n in range(1, order + 1))
-    return SuperpositionResult(z=z, n_times_z=n_times_z, source=(r_id, f_id))
+    return SuperpositionResult(z=z, n_times_z=n_times_z)
 
 
 def compose_truncated(r: RatSeries, f: IntSeries, order: int) -> RatSeries:

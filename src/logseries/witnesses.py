@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .compositae import CompositaeTable, compositae_dp
 from .series import IntSeries
 from .superposition import IntegralityError, theorem_sum
 
@@ -34,6 +35,7 @@ COMPOSITE_WITNESSED = "composite-witnessed"
 FERMAT2 = "fermat2"
 LUCAS = "lucas"
 CENTRAL_BINOMIAL = "central-binomial"
+GENERIC = "generic"
 NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 
 CENTRAL_BINOMIAL_DEFAULT_BOUND = 10**5
@@ -169,17 +171,15 @@ def witness_lucas(n: int) -> WitnessReport:
     return _report(n, LUCAS, (lucas_number(n, mod=n) - 1) % n)
 
 
-def _check_binomial_bound(n: int, bound: int) -> None:
-    if n > bound:
+def _check_binomial_bound(n: int) -> None:
+    if n > CENTRAL_BINOMIAL_DEFAULT_BOUND:
         raise ValueError(
-            f"n={n} exceeds the exact-binomial bound {bound}; a modular path for "
-            "composite moduli is out of scope"
+            f"n={n} exceeds the exact-binomial bound {CENTRAL_BINOMIAL_DEFAULT_BOUND}; "
+            "a modular path for composite moduli is out of scope"
         )
 
 
-def witness_central_binomial(
-    n: int, *, bound: int = CENTRAL_BINOMIAL_DEFAULT_BOUND
-) -> WitnessReport:
+def witness_central_binomial(n: int) -> WitnessReport:
     """Residue of C(2n-1, n-1) - 1 mod n, binomial materialized exactly.
 
     Deliberately avoids modular shortcuts for the binomial: prime-modulus
@@ -188,7 +188,7 @@ def witness_central_binomial(
     """
     if n < 2:
         raise ValueError("witness requires n >= 2")
-    _check_binomial_bound(n, bound)
+    _check_binomial_bound(n)
     return _report(n, CENTRAL_BINOMIAL, (math.comb(2 * n - 1, n - 1) - 1) % n)
 
 
@@ -198,11 +198,18 @@ def witness_generic(f: IntSeries, n: int, *, series_id: str = "series") -> Witne
     Zero exactly when the truncated sum sum_{k<n} F_delta(n,k)/k is an
     integer, since n*g(n) differs from n times that sum by f(1)^n.
     """
+    return _witness_generic(f, n, series_id, None)
+
+
+def _witness_generic(
+    f: IntSeries, n: int, series_id: str, table: CompositaeTable | None
+) -> WitnessReport:
+    """witness_generic, reading row n from `table` when one is given."""
     if n < 2:
         raise ValueError("witness requires n >= 2")
     if f.order < n:
         raise ValueError(f"series order {f.order} is below n={n}")
-    ng = theorem_sum(f, n)
+    ng = theorem_sum(f, n, table=table)
     if ng.denominator != 1:
         raise IntegralityError(f"n*g(n) came out fractional at n={n}: {ng}")
     f1 = f.coeff(1)
@@ -227,17 +234,32 @@ class ScanResult:
         return self.primes_checked + self.composites_checked
 
 
-def _witness_for(test: str, series: IntSeries | None):
+def _witness_for(
+    test: str, series: IntSeries | None = None, *, series_id: str = "series", hi: int | None = None
+):
+    """The witness n -> WitnessReport for one request, checked whole first.
+
+    For a scan, `hi` is the largest n it will ask for: the checks on hi
+    run here, before any witness, and the generic witness reads every
+    row from one compositae table of order hi.
+    """
     if test == FERMAT2:
         return witness_fermat2
     if test == LUCAS:
         return witness_lucas
     if test == CENTRAL_BINOMIAL:
+        if hi is not None:
+            _check_binomial_bound(hi)
         return witness_central_binomial
-    if test == "generic":
+    if test == GENERIC:
         if series is None:
-            raise ValueError("generic scan requires an IntSeries")
-        return lambda n: witness_generic(series, n)
+            raise ValueError("the generic test requires an IntSeries")
+        if hi is None:
+            return lambda n: witness_generic(series, n, series_id=series_id)
+        if series.order < hi:
+            raise ValueError(f"series order {series.order} is below hi={hi}")
+        table = compositae_dp(series, hi)
+        return lambda n: _witness_generic(series, n, series_id, table)
     raise ValueError(f"unknown witness test {test!r}")
 
 
@@ -254,15 +276,14 @@ def scan_pseudoprimes(
     The scan runs on one thread, in one ascending pass.  `threads` must
     be >= 1 and is otherwise unused: the witnesses are pure Python, so
     under the interpreter lock a second thread gave no speedup.  The
-    whole range is validated before the first witness runs.
+    whole request is validated before the first witness runs, and a
+    generic scan builds one compositae table of order hi for all n.
     """
     if not (2 <= lo <= hi):
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if test == CENTRAL_BINOMIAL:
-        _check_binomial_bound(hi, CENTRAL_BINOMIAL_DEFAULT_BOUND)
-    witness = _witness_for(test, series)
+    witness = _witness_for(test, series, hi=hi)
 
     pseudo: list[int] = []
     primes = 0

@@ -1,11 +1,12 @@
 """CLI surface: commands, exit codes, JSON schema round-trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from logseries import compositae_dp, log_superposition, make_series, scan_pseudoprimes
-from logseries import SequenceSpec, witness_fermat2, witness_lucas
+from logseries import SequenceSpec, witness_fermat2, witness_lucas, witnesses
 from logseries.cli import (
     loggf_from_payload,
     loggf_to_payload,
@@ -232,6 +233,14 @@ def test_unknown_seq_kind_is_input_error(capsys):
     assert "unknown sequence kind" in err
 
 
+def test_internal_error_exits_3_not_witness_status(capsys, monkeypatch):
+    monkeypatch.setattr(witnesses, "theorem_sum", lambda f, n, table=None: Fraction(1, 2))
+    code, out, err = run(capsys, "witness", "--test", "generic", "--seq", "ones", "--n", "7")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("logseries witness: internal error: n*g(n) came out fractional")
+
+
 def test_argparse_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["witness", "--test", "bogus", "--n", "5"])
@@ -249,7 +258,5 @@ def test_json_codecs_preserve_exact_values():
     assert witness_from_payload(witness_to_payload(report)) == report
     scan = scan_pseudoprimes("lucas", 2, 30)
     assert scan_from_payload(scan_to_payload(scan)) == scan
-    from fractions import Fraction
-
     n, value, integral = theorem_from_payload(theorem_to_payload(7, Fraction(126, 7)))
     assert (n, value, integral) == (7, 18, True)

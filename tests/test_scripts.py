@@ -25,13 +25,11 @@ def run_script(name, *args):
 
 
 def test_scripts_run_and_report_the_pseudoprime_lists():
-    examples = run_script(
-        "worked_examples.py", "--order", "16", "--scan-hi", "800", "--threads", "1"
-    )
+    examples = run_script("worked_examples.py", "--order", "16", "--scan-hi", "800")
     assert "pseudoprimes: 341, 561, 645\n" in examples
     assert "pseudoprimes: 705\n" in examples
 
-    census = run_script("pseudoprime_census.py", "--hi", "2000", "--threads", "1")
+    census = run_script("pseudoprime_census.py", "--hi", "2000")
     rows = {line.split()[0]: line for line in census.splitlines()[1:]}
     assert rows["fermat2"].endswith("  341, 561, 645, 1105, 1387, 1729, 1905")
     assert rows["lucas"].endswith("  705")

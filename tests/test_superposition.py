@@ -114,11 +114,6 @@ def test_superpose_constant_term_passthrough():
     assert result.z.coeff(0) == 9
 
 
-def test_superpose_records_sources():
-    result = superpose(RatSeries.one(2), IntSeries.x(2), 2, r_id="outer", f_id="inner")
-    assert result.source == ("outer", "inner")
-
-
 def test_superpose_order_precondition():
     with pytest.raises(ValueError):
         superpose(RatSeries.one(3), IntSeries.x(5), 5)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logseries import witnesses
+from logseries import superposition, witnesses
 from logseries import (
     COMPOSITE_WITNESSED,
     PASSES,
@@ -132,7 +132,6 @@ def test_central_binomial_examples():
 def test_central_binomial_bound(monkeypatch):
     with pytest.raises(ValueError, match="bound"):
         witness_central_binomial(100_001)
-    assert witness_central_binomial(101, bound=101).passes
 
     def must_not_run(n):
         pytest.fail(f"scan computed a binomial at n={n} before rejecting the range")
@@ -140,6 +139,12 @@ def test_central_binomial_bound(monkeypatch):
     monkeypatch.setattr(witnesses, "witness_central_binomial", must_not_run)
     with pytest.raises(ValueError, match="bound"):
         scan_pseudoprimes("central-binomial", 99_990, 100_010)
+
+    # the bound is read when the check runs, so a smaller one applies at once
+    monkeypatch.setattr(witnesses, "CENTRAL_BINOMIAL_DEFAULT_BOUND", 101)
+    assert witness_central_binomial(101).passes
+    with pytest.raises(ValueError, match="bound"):
+        witness_central_binomial(102)
 
 
 @pytest.mark.parametrize("witness", [witness_fermat2, witness_lucas, witness_central_binomial])
@@ -231,6 +236,49 @@ def test_scan_generic_needs_series():
     generic = scan_pseudoprimes("generic", 2, 50, series=f)
     named = scan_pseudoprimes("fermat2", 2, 50)
     assert generic.pseudoprimes == named.pseudoprimes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=40, max_size=40),
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=2, max_value=40),
+)
+def test_generic_scan_matches_per_n_public_witness(values, a, b):
+    # values[0] = f(1) may be 0, the degenerate case
+    f = IntSeries.from_values(values)
+    lo, hi = min(a, b), max(a, b)
+    reports = [witness_generic(f, n) for n in range(lo, hi + 1)]
+    result = scan_pseudoprimes("generic", lo, hi, series=f)
+    assert result.pseudoprimes == tuple(r.n for r in reports if r.is_pseudoprime)
+    assert result.primes_checked == sum(r.is_prime_actual for r in reports)
+    assert result.values_checked == len(reports)
+
+
+def test_generic_scan_rejects_short_series_before_any_witness(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("the scan ran a witness before rejecting the series order")
+
+    monkeypatch.setattr(witnesses, "theorem_sum", must_not_run)
+    f = IntSeries(40, {i: 1 for i in range(1, 41)})
+    with pytest.raises(ValueError, match="below hi=60"):
+        scan_pseudoprimes("generic", 2, 60, series=f)
+
+
+def test_generic_scan_builds_one_table(monkeypatch):
+    calls = []
+    for module in (witnesses, superposition):
+        real = module.compositae_dp
+
+        def counting(f, order, real=real):
+            calls.append(order)
+            return real(f, order)
+
+        monkeypatch.setattr(module, "compositae_dp", counting)
+    f = IntSeries(60, {1: 1, 2: 1})
+    result = scan_pseudoprimes("generic", 10, 60, series=f)
+    assert result.pseudoprimes == scan_pseudoprimes("lucas", 10, 60).pseudoprimes
+    assert calls == [60]
 
 
 def test_scan_validates_range_and_test_name():
