@@ -46,12 +46,7 @@ def main():
     parser.add_argument("--json-out", type=str, default=None, help="write rows as JSON")
     args = parser.parse_args()
 
-    # central-binomial materializes C(2n-1, n-1) exactly, so cap its range
-    hi_by_test = {"central-binomial": min(args.hi, 20_000)}
-
-    rows = []
-    for test in args.tests:
-        rows += run_census(hi_by_test.get(test, args.hi), [test])
+    rows = run_census(args.hi, args.tests)
 
     print(f"{'test':18s} {'range':>12s} {'#pseudo':>8s} {'seconds':>8s}  pseudoprimes")
     for row in rows:

@@ -149,55 +149,49 @@ def render_json(command: str, inputs: dict, result: dict) -> str:
 # ---------------------------------------------------------------------------
 # Commands.  Each returns (exit_code, stdout_text).
 
-def _build_series(args: argparse.Namespace, order: int) -> IntSeries:
+def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
+    """The --seq series at --order (default max(64, at_least)), which must reach at_least."""
     if args.seq is None:
         raise UsageError("--seq is required for this command")
-    return make_series(SequenceSpec(kind=args.seq, order=order))
-
-
-def _resolve_order(args: argparse.Namespace, at_least: int = 1) -> int:
     order = args.order if args.order is not None else max(DEFAULT_ORDER, at_least)
     if order < at_least:
         raise UsageError(f"--order {order} is below the largest requested n ({at_least})")
-    return order
+    return make_series(SequenceSpec(kind=args.seq, order=order))
 
 
 def cmd_compositae(args: argparse.Namespace) -> tuple[int, str]:
-    order = _resolve_order(args)
-    f = _build_series(args, order)
-    table = compositae_dp(f, order)
+    f = _build_series(args)
+    table = compositae_dp(f, f.order)
     if args.format == "json":
         return EXIT_OK, render_json(
-            "compositae", {"seq": args.seq, "order": order}, table_to_payload(table)
+            "compositae", {"seq": args.seq, "order": f.order}, table_to_payload(table)
         )
-    lines = [f"compositae triangle  seq={args.seq}  order={order}"]
-    for n in range(1, order + 1):
+    lines = [f"compositae triangle  seq={args.seq}  order={f.order}"]
+    for n in range(1, f.order + 1):
         lines.append(f"n={n}: " + " ".join(str(v) for v in table.row(n)))
     return EXIT_OK, "\n".join(lines)
 
 
 def cmd_loggf(args: argparse.Namespace) -> tuple[int, str]:
-    order = _resolve_order(args)
-    f = _build_series(args, order)
-    ls = log_superposition(f, order)
+    f = _build_series(args)
+    ls = log_superposition(f, f.order)
     if args.format == "json":
         return EXIT_OK, render_json(
-            "loggf", {"seq": args.seq, "order": order}, loggf_to_payload(ls)
+            "loggf", {"seq": args.seq, "order": f.order}, loggf_to_payload(ls)
         )
-    lines = [f"log-superposition  seq={args.seq}  order={order}", "n\tng(n)\tg(n)\th(n)"]
-    for n in range(1, order + 1):
+    lines = [f"log-superposition  seq={args.seq}  order={f.order}", "n\tng(n)\tg(n)\th(n)"]
+    for n in range(1, f.order + 1):
         lines.append(f"{n}\t{ls.ng_at(n)}\t{ls.g.coeff(n)}\t{ls.h_at(n)}")
     return EXIT_OK, "\n".join(lines)
 
 
 def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
-    order = _resolve_order(args, at_least=args.n)
-    f = _build_series(args, order)
+    f = _build_series(args, at_least=args.n)
     value = theorem_sum(f, args.n)
     if args.format == "json":
         return EXIT_OK, render_json(
             "theorem",
-            {"seq": args.seq, "order": order, "n": args.n},
+            {"seq": args.seq, "order": f.order, "n": args.n},
             theorem_to_payload(args.n, value),
         )
     verdict = "integral" if value.denominator == 1 else "NOT integral"
@@ -207,7 +201,7 @@ def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
     series = None
     if args.test == GENERIC:
-        series = _build_series(args, max(args.n, args.order or args.n))
+        series = _build_series(args, at_least=args.n)
     report = _witness_for(args.test, series, series_id=args.seq)(args.n)
     code = EXIT_OK if report.passes else EXIT_WITNESSED
     if args.format == "json":
@@ -231,7 +225,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
     series = None
     if args.test == GENERIC:
-        series = _build_series(args, args.hi)
+        series = _build_series(args, at_least=args.hi)
     result = scan_pseudoprimes(args.test, args.lo, args.hi, threads=args.threads, series=series)
     if args.format == "json":
         inputs = {"test": args.test, "lo": args.lo, "hi": args.hi, "threads": args.threads}

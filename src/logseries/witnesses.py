@@ -7,7 +7,8 @@ For an integer series f with triangle F_delta, the quantity
 is divisible by n whenever n is prime.  A nonzero residue mod n is
 therefore a proof of compositeness; residue 0 proves nothing (composite
 passers are pseudoprimes for the chosen series).  Three specializations
-have closed forms and run in modular arithmetic without any series:
+have closed forms and run in modular arithmetic, without any series and
+for any n:
 
     ones (f(i) = 1):        residue of 2^n - 2            (fermat2)
     x + x^2:                residue of L_n - 1            (lucas)
@@ -22,6 +23,7 @@ that bound the ground truth is only probable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +39,6 @@ LUCAS = "lucas"
 CENTRAL_BINOMIAL = "central-binomial"
 GENERIC = "generic"
 NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
-
-CENTRAL_BINOMIAL_DEFAULT_BOUND = 10**5
 
 _TRIAL_DIVISION_BOUND = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -85,32 +85,25 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _fib_pair(n: int, mod: int | None):
-    """(Fib(n), Fib(n+1)) by fast doubling, optionally reduced mod `mod`."""
-    if n == 0:
-        return (0, 1)
-    a, b = _fib_pair(n >> 1, mod)
-    c = a * (2 * b - a)
-    d = a * a + b * b
-    if mod is not None:
-        c %= mod
-        d %= mod
-    if n & 1:
-        return (d, c + d if mod is None else (c + d) % mod)
-    return (c, d)
-
-
 def lucas_number(n: int, mod: int | None = None) -> int:
-    """L(n) = Fib(n+1) + Fib(n-1) = 2*Fib(n+1) - Fib(n), n >= 1.
+    """L(n), n >= 1, by a doubling ladder over the bits of n.
 
-    With `mod` the full L(n) is never materialized; without it the exact
-    integer is returned.
+    Each step maps (L(k), L(k+1)) to the pair at 2k or 2k+1 through
+    L(2k) = L(k)^2 - 2q and L(2k+1) = L(k)L(k+1) - q, with q = (-1)^k.
+    With `mod` every step is reduced, so the full L(n) is never
+    materialized; without it the exact integer is returned.
     """
     if n < 1:
         raise ValueError("Lucas numbers are indexed from 1 here")
-    fn, fn1 = _fib_pair(n, mod)
-    value = 2 * fn1 - fn
-    return value if mod is None else value % mod
+    a, b, q = 2, 1, 1  # L(k), L(k+1), (-1)^k at k = 0
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a, b, q = a * b - q, b * b + 2 * q, -1
+        else:
+            a, b, q = a * a - 2 * q, a * b - q, 1
+        if mod is not None:
+            a, b = a % mod, b % mod
+    return a
 
 
 @dataclass(frozen=True, eq=True)
@@ -171,25 +164,31 @@ def witness_lucas(n: int) -> WitnessReport:
     return _report(n, LUCAS, (lucas_number(n, mod=n) - 1) % n)
 
 
-def _check_binomial_bound(n: int) -> None:
-    if n > CENTRAL_BINOMIAL_DEFAULT_BOUND:
-        raise ValueError(
-            f"n={n} exceeds the exact-binomial bound {CENTRAL_BINOMIAL_DEFAULT_BOUND}; "
-            "a modular path for composite moduli is out of scope"
-        )
-
-
 def witness_central_binomial(n: int) -> WitnessReport:
-    """Residue of C(2n-1, n-1) - 1 mod n, binomial materialized exactly.
+    """Residue of C(2n-1, n-1) - 1 mod n, from the binomial's factorization.
 
-    Deliberately avoids modular shortcuts for the binomial: prime-modulus
-    tricks would bias exactly the composite n under study.  Bounded
-    because the exact binomial has ~0.6*n digits.
+    C(2n-1, n-1) is the product of p^e_p over the primes p <= 2n-1, with
+    e_p = sum_i floor((2n-1)/p^i) - floor((n-1)/p^i) - floor(n/p^i)
+    (Legendre's formula).  That is an exact factorization of the integer,
+    so reducing it mod n is valid for every n, composite or not.
     """
     if n < 2:
         raise ValueError("witness requires n >= 2")
-    _check_binomial_bound(n)
-    return _report(n, CENTRAL_BINOMIAL, (math.comb(2 * n - 1, n - 1) - 1) % n)
+    top = 2 * n - 1
+    sieve = bytearray([1]) * (top + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    product = 1
+    for p in itertools.compress(range(top + 1), sieve):
+        e, q = 0, p
+        while q <= top:
+            e += top // q - (n - 1) // q - n // q
+            q *= p
+        if e:
+            product = product * pow(p, e, n) % n
+    return _report(n, CENTRAL_BINOMIAL, (product - 1) % n)
 
 
 def witness_generic(f: IntSeries, n: int, *, series_id: str = "series") -> WitnessReport:
@@ -239,17 +238,16 @@ def _witness_for(
 ):
     """The witness n -> WitnessReport for one request, checked whole first.
 
-    For a scan, `hi` is the largest n it will ask for: the checks on hi
-    run here, before any witness, and the generic witness reads every
-    row from one compositae table of order hi.
+    For a scan, `hi` is the largest n it will ask for.  Only the generic
+    test uses it: the series order is checked against hi here, before
+    any witness, and every row is read from one compositae table of
+    order hi.
     """
     if test == FERMAT2:
         return witness_fermat2
     if test == LUCAS:
         return witness_lucas
     if test == CENTRAL_BINOMIAL:
-        if hi is not None:
-            _check_binomial_bound(hi)
         return witness_central_binomial
     if test == GENERIC:
         if series is None:

@@ -119,6 +119,20 @@ def test_theorem_explicit_order_below_n_is_usage_error(capsys):
     assert "below the largest requested n" in err
 
 
+@pytest.mark.parametrize(
+    "argv,at_least",
+    [
+        (["witness", "--test", "generic", "--seq", "ones", "--n", "10"], 10),
+        (["scan", "--test", "generic", "--seq", "ones", "--hi", "20"], 20),
+    ],
+    ids=["witness", "scan"],
+)
+def test_explicit_order_below_requested_n_is_usage_error_for_every_command(capsys, argv, at_least):
+    code, out, err = run(capsys, *argv, "--order", "5")
+    assert (code, out) == (2, "")
+    assert f"--order 5 is below the largest requested n ({at_least})" in err
+
+
 def test_theorem_auto_raises_order_beyond_default(capsys):
     code, out, _ = run(capsys, "theorem", "--seq", "ones", "--n", "70", "--format", "json")
     assert code == 0

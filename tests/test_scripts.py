@@ -1,5 +1,7 @@
 """Smoke runs of the experiment scripts as subprocesses."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -24,12 +26,20 @@ def run_script(name, *args):
     return proc.stdout
 
 
-def test_scripts_run_and_report_the_pseudoprime_lists():
+def test_scripts_run_and_report_the_pseudoprime_lists(tmp_path):
     examples = run_script("worked_examples.py", "--order", "16", "--scan-hi", "800")
     assert "pseudoprimes: 341, 561, 645\n" in examples
     assert "pseudoprimes: 705\n" in examples
 
-    census = run_script("pseudoprime_census.py", "--hi", "2000")
+    out = tmp_path / "census.json"
+    census = run_script("pseudoprime_census.py", "--hi", "2000", "--json-out", str(out))
     rows = {line.split()[0]: line for line in census.splitlines()[1:]}
     assert rows["fermat2"].endswith("  341, 561, 645, 1105, 1387, 1729, 1905")
     assert rows["lucas"].endswith("  705")
+
+    # the exact binomial and trial division, independent of the package
+    composites = (n for n in range(4, 2001) if any(n % d == 0 for d in range(2, math.isqrt(n) + 1)))
+    expected = [n for n in composites if (math.comb(2 * n - 1, n - 1) - 1) % n == 0]
+    by_test = {row["test"]: row for row in json.loads(out.read_text(encoding="utf-8"))}
+    assert by_test["central-binomial"]["hi"] == 2000
+    assert by_test["central-binomial"]["pseudoprimes"] == expected

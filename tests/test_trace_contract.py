@@ -25,6 +25,8 @@ JOBS = [
     ("witness", ["witness", "--test", "generic", "--seq", "ones", "--n", "15"]),
     ("scan-generic", ["scan", "--test", "generic", "--seq", "ones", "--hi", "20"]),
     ("scan-fermat2", ["scan", "--test", "fermat2", "--hi", "50", "--format", "json"]),
+    ("witness-cb", ["witness", "--test", "central-binomial", "--n", "2003"]),
+    ("scan-lucas", ["scan", "--test", "lucas", "--hi", "50"]),
     ("compositae", ["compositae", "--seq", "ones", "--order", "10", "--format", "json"]),
 ]
 
@@ -71,6 +73,8 @@ def test_traced_jobs_match_plain_runs(tracing):
     assert "compositae.compositae_dp" in names["theorem"]
     assert "witnesses.witness_generic" in names["witness"]
     assert "witnesses.scan_pseudoprimes" in names["scan-generic"]
+    assert "witnesses.witness_central_binomial" in names["witness-cb"]
     for job_id in ("theorem", "loggf", "witness", "scan-generic"):
         assert tracer.counts[job_id]["superposition.fraction_terms"] > 0, job_id
     assert tracer.counts["scan-fermat2"]["witnesses.n_checked"] == 49
+    assert tracer.counts["scan-lucas"]["witnesses.n_checked"] == 49

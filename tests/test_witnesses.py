@@ -129,22 +129,19 @@ def test_central_binomial_examples():
     assert r2.passes
 
 
-def test_central_binomial_bound(monkeypatch):
-    with pytest.raises(ValueError, match="bound"):
-        witness_central_binomial(100_001)
+def test_central_binomial_matches_exact_binomial():
+    for n in range(2, 1201):
+        assert witness_central_binomial(n).residue == (math.comb(2 * n - 1, n - 1) - 1) % n, n
 
-    def must_not_run(n):
-        pytest.fail(f"scan computed a binomial at n={n} before rejecting the range")
 
-    monkeypatch.setattr(witnesses, "witness_central_binomial", must_not_run)
-    with pytest.raises(ValueError, match="bound"):
-        scan_pseudoprimes("central-binomial", 99_990, 100_010)
-
-    # the bound is read when the check runs, so a smaller one applies at once
-    monkeypatch.setattr(witnesses, "CENTRAL_BINOMIAL_DEFAULT_BOUND", 101)
-    assert witness_central_binomial(101).passes
-    with pytest.raises(ValueError, match="bound"):
-        witness_central_binomial(102)
+def test_central_binomial_scan_around_100003():
+    reports = [witness_central_binomial(n) for n in range(99_990, 100_011)]
+    primes = [r for r in reports if r.is_prime_actual]
+    assert [r.n for r in primes] == [99_991, 100_003]
+    assert all(r.passes for r in primes)
+    result = scan_pseudoprimes("central-binomial", 99_990, 100_010)
+    assert result.pseudoprimes == tuple(r.n for r in reports if r.is_pseudoprime)
+    assert (result.primes_checked, result.composites_checked) == (2, 19)
 
 
 @pytest.mark.parametrize("witness", [witness_fermat2, witness_lucas, witness_central_binomial])
