@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .compositae import CompositaeTable, compositae_dp
 from .sequences import CoefficientFileError, SequenceSpec, make_series
@@ -56,7 +57,7 @@ class UsageError(ValueError):
 def table_to_payload(table: CompositaeTable) -> dict:
     return {
         "order": table.order,
-        "rows": [[str(v) for v in row] for row in table.rows],
+        "rows": [list(map(str, row)) for row in table.rows],
     }
 
 
@@ -143,7 +144,43 @@ def theorem_from_payload(payload: dict) -> tuple[int, Fraction, bool]:
 
 
 def render_json(command: str, inputs: dict, result: dict) -> str:
-    return json.dumps({"command": command, "input": inputs, "result": result}, indent=2)
+    """json.dumps({"command", "input", "result"}, indent=2), byte for byte.
+
+    The output is built in one parts list and joined once; a list of
+    strings (a triangle row, say) is written by a single join.
+    """
+    parts: list[str] = []
+    _render(parts, {"command": command, "input": inputs, "result": result}, "\n")
+    return "".join(parts)
+
+
+def _render(parts: list[str], value, newline: str) -> None:
+    """Append value as json.dumps(indent=2) writes it at the depth of `newline`.
+
+    `newline` is "\n" followed by the indent of the line holding value.
+    Dict keys must be str, as they are in every payload.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in value.items():
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _render(parts, item, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        if all(isinstance(item, str) for item in value):
+            parts.append("[" + inner)
+            parts.append(("," + inner).join(map(encode_basestring_ascii, value)))
+        else:
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _render(parts, item, inner)
+                sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(value))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +205,7 @@ def cmd_compositae(args: argparse.Namespace) -> tuple[int, str]:
         )
     lines = [f"compositae triangle  seq={args.seq}  order={f.order}"]
     for n in range(1, f.order + 1):
-        lines.append(f"n={n}: " + " ".join(str(v) for v in table.row(n)))
+        lines.append(f"n={n}: " + " ".join(map(str, table.row(n))))
     return EXIT_OK, "\n".join(lines)
 
 

@@ -30,6 +30,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Iterator
 
 from .series import IntSeries
@@ -69,11 +70,13 @@ class CompositaeTable:
 def compositae_dp(f: IntSeries, order: int) -> CompositaeTable:
     """Compositae triangle of f up to `order` by dynamic programming.
 
-    Column recurrence over the last part:
+    Row recurrence over the last part:
         F_delta(n, 1) = f(n)
-        F_delta(n, k) = sum_{m} f(m) * F_delta(n - m, k - 1)
-    computed as repeated sparse convolution of f with the previous
-    column, so series with small support (e.g. x + x^2) stay cheap.
+        F_delta(n, k) = sum_{m < n} f(m) * F_delta(n - m, k - 1),  k >= 2
+    so row n starts as [f(n), 0, ..., 0] and each support term (m, c)
+    adds c times row n - m into entries 2..n - m + 1.  Only the support
+    of f is visited, so series with small support (e.g. x + x^2) stay
+    cheap, and c = +-1 costs an add or subtract with no multiply.
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
@@ -82,27 +85,23 @@ def compositae_dp(f: IntSeries, order: int) -> CompositaeTable:
             f"insufficient coefficients: requested order {order} exceeds series order {f.order}"
         )
     support = [(m, c) for m, c in sorted(f.coeffs.items()) if m <= order]
-    rows: list[list[int]] = [[0] * n for n in range(1, order + 1)]
-
-    prev = [0] * (order + 1)
-    for m, c in support:
-        prev[m] = c
+    rows: list[tuple[int, ...]] = []
     for n in range(1, order + 1):
-        rows[n - 1][0] = prev[n]
-
-    for k in range(2, order + 1):
-        cur = [0] * (order + 1)
+        row = [0] * n
+        row[0] = f.coeffs.get(n, 0)
         for m, c in support:
-            hi = order - m
-            for i in range(k - 1, hi + 1):
-                v = prev[i]
-                if v:
-                    cur[i + m] += c * v
-        for n in range(k, order + 1):
-            rows[n - 1][k - 1] = cur[n]
-        prev = cur
-
-    return CompositaeTable(order, tuple(tuple(r) for r in rows))
+            if m >= n:
+                break
+            prev = rows[n - m - 1]
+            stop = n - m + 1
+            if c == 1:
+                row[1:stop] = map(add, row[1:stop], prev)
+            elif c == -1:
+                row[1:stop] = map(sub, row[1:stop], prev)
+            else:
+                row[1:stop] = map(add, row[1:stop], map(mul, itertools.repeat(c), prev))
+        rows.append(tuple(row))
+    return CompositaeTable(order, tuple(rows))
 
 
 def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -18,7 +18,8 @@ Ground-truth primality is trial division below 10^6 and fixed-base
 Miller-Rabin above.  The 13 prime bases 2..41 are proven deterministic
 for n < 3317044064679887385961981 (Sorenson and Webster, 2017), so
 witness verdicts are checked against an independent fact there; above
-that bound the ground truth is only probable.
+that bound the ground truth is only probable, and each report's note
+says so.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 
 _TRIAL_DIVISION_BOUND = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Below this, the bases above decide primality; at or above it a True is probable.
+_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+
+# witness_central_binomial sieves [0, 2n-1] with one byte per integer, so n
+# is capped to keep that buffer at 200 MB.
+CENTRAL_BINOMIAL_MAX_N = 10**8
 
 
 def is_prime(n: int) -> bool:
@@ -140,6 +147,12 @@ class WitnessReport:
 
 
 def _report(n: int, test: str, residue: int, note: str = "") -> WitnessReport:
+    if n >= _MR_DETERMINISTIC_BOUND:
+        caveat = (
+            f"is_prime_actual is only probable: n >= {_MR_DETERMINISTIC_BOUND}, "
+            "beyond the proven range of Miller-Rabin bases 2..41"
+        )
+        note = f"{note}; {caveat}" if note else caveat
     return WitnessReport(
         n=n,
         test=test,
@@ -171,9 +184,14 @@ def witness_central_binomial(n: int) -> WitnessReport:
     e_p = sum_i floor((2n-1)/p^i) - floor((n-1)/p^i) - floor(n/p^i)
     (Legendre's formula).  That is an exact factorization of the integer,
     so reducing it mod n is valid for every n, composite or not.
+
+    The primes come from a sieve of one byte per integer up to 2n-1, so n
+    is limited to CENTRAL_BINOMIAL_MAX_N (10**8, a 200 MB sieve); a
+    larger n raises ValueError before anything is allocated.
     """
     if n < 2:
         raise ValueError("witness requires n >= 2")
+    _check_central_binomial_n(n)
     top = 2 * n - 1
     sieve = bytearray([1]) * (top + 1)
     sieve[:2] = b"\0\0"
@@ -189,6 +207,13 @@ def witness_central_binomial(n: int) -> WitnessReport:
         if e:
             product = product * pow(p, e, n) % n
     return _report(n, CENTRAL_BINOMIAL, (product - 1) % n)
+
+
+def _check_central_binomial_n(n: int) -> None:
+    if n > CENTRAL_BINOMIAL_MAX_N:
+        raise ValueError(
+            f"central-binomial witness needs n <= {CENTRAL_BINOMIAL_MAX_N} (got {n})"
+        )
 
 
 def witness_generic(f: IntSeries, n: int, *, series_id: str = "series") -> WitnessReport:
@@ -238,16 +263,19 @@ def _witness_for(
 ):
     """The witness n -> WitnessReport for one request, checked whole first.
 
-    For a scan, `hi` is the largest n it will ask for.  Only the generic
-    test uses it: the series order is checked against hi here, before
-    any witness, and every row is read from one compositae table of
-    order hi.
+    For a scan, `hi` is the largest n it will ask for, and it is checked
+    here, before any witness: against CENTRAL_BINOMIAL_MAX_N for the
+    central-binomial test, and against the series order for the generic
+    test, which then reads every row from one compositae table of order
+    hi.
     """
     if test == FERMAT2:
         return witness_fermat2
     if test == LUCAS:
         return witness_lucas
     if test == CENTRAL_BINOMIAL:
+        if hi is not None:
+            _check_central_binomial_n(hi)
         return witness_central_binomial
     if test == GENERIC:
         if series is None:

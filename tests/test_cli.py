@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logseries import compositae_dp, log_superposition, make_series, scan_pseudoprimes
 from logseries import SequenceSpec, witness_fermat2, witness_lucas, witnesses
@@ -11,6 +13,7 @@ from logseries.cli import (
     loggf_from_payload,
     loggf_to_payload,
     main,
+    render_json,
     scan_from_payload,
     scan_to_payload,
     table_from_payload,
@@ -255,10 +258,41 @@ def test_internal_error_exits_3_not_witness_status(capsys, monkeypatch):
     assert err.startswith("logseries witness: internal error: n*g(n) came out fractional")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--test", "central-binomial", "--n", "100000001"],
+        ["scan", "--test", "central-binomial", "--lo", "99999999", "--hi", "100000001"],
+    ],
+)
+def test_central_binomial_above_its_limit_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "central-binomial witness needs n <= 100000000" in err
+
+
 def test_argparse_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["witness", "--test", "bogus", "--n", "5"])
     assert exc.value.code == 2
+
+
+JSON_TEXT = st.text(st.sampled_from('a9 "\\/\n\t\x00\x1f\x7fé€\U0001d11e')) | st.text()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: st.lists(inner) | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100)
+@given(JSON_TEXT, st.dictionaries(JSON_TEXT, JSON_VALUES), JSON_VALUES)
+@example("c", {}, {"rows": [[], ["1", "-2"], ["x", 3, None], [True, {"k": []}]], "e": {}})
+@example('q"\\', {"é": ["\x00", "\n"]}, [["\u2028", 2**200, -(2**70)]])
+def test_render_json_matches_json_dumps(command, inputs, result):
+    expected = json.dumps({"command": command, "input": inputs, "result": result}, indent=2)
+    assert render_json(command, inputs, result) == expected
 
 
 def test_json_codecs_preserve_exact_values():

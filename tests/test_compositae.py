@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logseries import (
@@ -17,6 +17,7 @@ from logseries import (
     enumerate_part_multisets,
     geometric_inverse,
     multinomial_count,
+    series_mul,
 )
 
 
@@ -151,6 +152,30 @@ def test_dp_matches_bruteforce(f, data):
     k = data.draw(st.integers(min_value=1, max_value=n))
     table = compositae_dp(f, f.order)
     assert table.value(n, k) == compositae_bruteforce(f, n, k)
+
+
+@st.composite
+def wide_series(draw):
+    """Orders past the brute-force cap; unit, small and large coefficients."""
+    order = draw(st.integers(min_value=12, max_value=40))
+    value = st.sampled_from((0, 1, -1, 2, -2)) | st.integers(-10**6, 10**6)
+    return IntSeries(order, draw(st.dictionaries(st.integers(1, order), value, max_size=order)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_series())
+@example(IntSeries(40, {1: 1, 2: -1, 3: 2, 5: -(10**6), 9: 1, 11: -1}))
+@example(IntSeries(12, {2: 1, 3: 1}))
+def test_dp_matches_powers_of_f(f):
+    # F_delta(n, k) is the coefficient of x^n in F^k; the examples reach the
+    # DP's c = 1, c = -1 and general-c branches, and f(1) = 0.
+    table = compositae_dp(f, f.order)
+    rat = f.to_rat()
+    power = rat
+    for k in range(1, f.order + 1):
+        for n in range(k, f.order + 1):
+            assert table.value(n, k) == power.coeff(n), (n, k)
+        power = series_mul(power, rat)
 
 
 # ---------------------------------------------------------------------------

@@ -78,3 +78,5 @@ def test_traced_jobs_match_plain_runs(tracing):
         assert tracer.counts[job_id]["superposition.fraction_terms"] > 0, job_id
     assert tracer.counts["scan-fermat2"]["witnesses.n_checked"] == 49
     assert tracer.counts["scan-lucas"]["witnesses.n_checked"] == 49
+    assert {"compositae.compositae_dp", "cli.table_to_payload", "cli.render_json"} <= names["compositae"]
+    assert tracer.counts["compositae"]["compositae.cells"] == 55

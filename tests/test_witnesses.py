@@ -144,6 +144,35 @@ def test_central_binomial_scan_around_100003():
     assert (result.primes_checked, result.composites_checked) == (2, 19)
 
 
+def test_central_binomial_rejects_n_above_its_limit(monkeypatch):
+    limit = witnesses.CENTRAL_BINOMIAL_MAX_N
+    message = f"needs n <= {limit} \\(got {limit + 1}\\)"
+    with pytest.raises(ValueError, match=message):
+        witness_central_binomial(limit + 1)
+
+    def must_not_run(n):
+        pytest.fail("the scan ran a witness before rejecting hi")
+
+    monkeypatch.setattr(witnesses, "witness_central_binomial", must_not_run)
+    with pytest.raises(ValueError, match=message):
+        scan_pseudoprimes("central-binomial", limit - 3, limit + 1)
+
+
+# 1287836182261 * 2575672364521: a strong pseudoprime to every base 2..41,
+# the smallest, and so the bound of deterministic Miller-Rabin with them.
+MR_BOUND = 3317044064679887385961981
+
+
+def test_reports_flag_probable_ground_truth_from_the_miller_rabin_bound():
+    caveat = f"is_prime_actual is only probable: n >= {MR_BOUND}"
+    above = witness_fermat2(MR_BOUND)
+    assert above.is_prime_actual and MR_BOUND % 1287836182261 == 0
+    assert above.note.startswith(caveat)
+    assert witness_lucas(MR_BOUND - 2).note == ""
+    joined = witnesses._report(MR_BOUND, "generic(x)", 0, "degenerate")
+    assert joined.note.startswith("degenerate; " + caveat)
+
+
 @pytest.mark.parametrize("witness", [witness_fermat2, witness_lucas, witness_central_binomial])
 def test_witnesses_reject_n_below_2(witness):
     with pytest.raises(ValueError):
