@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from operator import add, mul, sub
-from typing import Iterator
 
+from ._value import Value, set_field
 from .series import IntSeries
 
 # Composition enumeration doubles per unit of n; C(24, 12) ~ 2.7e6 keeps
@@ -40,20 +40,20 @@ from .series import IntSeries
 BRUTE_FORCE_MAX_N = 25
 
 
-@dataclass(frozen=True, eq=True)
-class CompositaeTable:
+class CompositaeTable(Value):
     """Triangle F_delta(n, k), 1 <= k <= n <= order, as immutable rows."""
 
+    __slots__ = ("order", "rows")
     order: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, order: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if order < 1:
             raise ValueError("CompositaeTable order must be positive")
-        if len(self.rows) != self.order or any(
-            len(row) != n for n, row in enumerate(self.rows, start=1)
-        ):
+        if len(rows) != order or any(len(row) != n for n, row in enumerate(rows, start=1)):
             raise ValueError("rows must form a triangle: row n has n entries")
+        set_field(self, "order", order)
+        set_field(self, "rows", rows)
 
     def value(self, n: int, k: int) -> int:
         """F_delta(n, k).  Entries with k > n do not exist."""
@@ -137,18 +137,18 @@ def compositae_bruteforce(f: IntSeries, n: int, k: int) -> int:
     return sum(math.prod(get(p, 0) for p in parts) for parts in compositions(n, k))
 
 
-@dataclass(frozen=True, eq=True)
-class PartMultiset:
+class PartMultiset(Value):
     """Unordered multiset of positive parts {l_1, ..., l_k}, stored sorted."""
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if not parts:
             raise ValueError("a part multiset must be non-empty")
-        if any(p < 1 for p in self.parts):
+        if any(p < 1 for p in parts):
             raise ValueError("all parts must be positive")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts)))
+        set_field(self, "parts", tuple(sorted(parts)))
 
     @classmethod
     def of(cls, *parts: int) -> PartMultiset:

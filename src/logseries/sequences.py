@@ -17,9 +17,9 @@ missing trailing coefficients are 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._value import Value, set_field
 from .series import IntSeries
 
 BUILTIN_KINDS = ("ones", "primes1", "fib-gf", "catalan-shifted")
@@ -34,21 +34,23 @@ class CoefficientFileError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, eq=True)
-class SequenceSpec:
+class SequenceSpec(Value):
     """A named or literal coefficient source plus a truncation order."""
 
+    __slots__ = ("kind", "order")
     kind: str
     order: int
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, kind: str, order: int) -> None:
+        if order < 1:
             raise ValueError("sequence order must be a positive integer")
-        if self.kind not in BUILTIN_KINDS and not self.kind.startswith(("file:", "inline:")):
+        if kind not in BUILTIN_KINDS and not kind.startswith(("file:", "inline:")):
             raise ValueError(
-                f"unknown sequence kind {self.kind!r}; expected one of "
+                f"unknown sequence kind {kind!r}; expected one of "
                 f"{', '.join(BUILTIN_KINDS)}, file:<path>, or inline:<ints>"
             )
+        set_field(self, "kind", kind)
+        set_field(self, "order", order)
 
 
 def _primes1_values(order: int) -> list[int]:

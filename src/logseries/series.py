@@ -19,11 +19,17 @@ are pure functions safe to call from multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+from types import MappingProxyType
+
+from ._value import Value, set_field
 
 RationalLike = int | Fraction
+
+# Default coefficients: read-only, and never stored, since every series
+# copies its coefficients into a fresh dict.
+_NO_COEFFS: Mapping = MappingProxyType({})
 
 
 def is_integral(q: Fraction) -> bool:
@@ -43,20 +49,21 @@ def _normalize_int_coeffs(coeffs: Mapping[int, int], order: int, min_index: int)
     return out
 
 
-@dataclass(frozen=True, eq=True)
-class IntSeries:
+class IntSeries(Value):
     """Integer-coefficient series sum_{n>=1} f(n) x^n truncated at `order`.
 
     No constant term by construction: index 0 is not representable.
     """
 
+    __slots__ = ("order", "coeffs")
     order: int
-    coeffs: dict[int, int] = field(default_factory=dict)
+    coeffs: dict[int, int]
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, order: int, coeffs: Mapping[int, int] = _NO_COEFFS) -> None:
+        if order < 1:
             raise ValueError("IntSeries order must be a positive integer")
-        object.__setattr__(self, "coeffs", _normalize_int_coeffs(self.coeffs, self.order, 1))
+        set_field(self, "order", order)
+        set_field(self, "coeffs", _normalize_int_coeffs(coeffs, order, 1))
 
     @classmethod
     def from_values(cls, values: Iterable[int], order: int | None = None) -> IntSeries:
@@ -92,24 +99,25 @@ class IntSeries:
         return IntSeries(order, {n: c for n, c in self.coeffs.items() if n <= order})
 
 
-@dataclass(frozen=True, eq=True)
-class RatSeries:
+class RatSeries(Value):
     """Rational-coefficient series sum_{n>=0} c(n) x^n truncated at `order`."""
 
+    __slots__ = ("order", "coeffs")
     order: int
-    coeffs: dict[int, Fraction] = field(default_factory=dict)
+    coeffs: dict[int, Fraction]
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: Mapping[int, RationalLike] = _NO_COEFFS) -> None:
+        if order < 0:
             raise ValueError("RatSeries order must be >= 0")
         out: dict[int, Fraction] = {}
-        for idx, value in self.coeffs.items():
-            if not isinstance(idx, int) or idx < 0 or idx > self.order:
-                raise ValueError(f"coefficient index {idx!r} outside [0, {self.order}]")
+        for idx, value in coeffs.items():
+            if not isinstance(idx, int) or idx < 0 or idx > order:
+                raise ValueError(f"coefficient index {idx!r} outside [0, {order}]")
             q = Fraction(value)
             if q != 0:
                 out[idx] = q
-        object.__setattr__(self, "coeffs", out)
+        set_field(self, "order", order)
+        set_field(self, "coeffs", out)
 
     @classmethod
     def from_values(cls, values: Iterable[RationalLike], order: int | None = None) -> RatSeries:
@@ -148,17 +156,18 @@ class RatSeries:
         return RatSeries(order, {n: c for n, c in self.coeffs.items() if n <= order})
 
 
-@dataclass(frozen=True, eq=True)
-class LogSeries:
+class LogSeries(Value):
     """Integer sequence a(n), n>=1, denoting the series sum a(n)/n x^n."""
 
+    __slots__ = ("order", "a")
     order: int
-    a: dict[int, int] = field(default_factory=dict)
+    a: dict[int, int]
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, order: int, a: Mapping[int, int] = _NO_COEFFS) -> None:
+        if order < 1:
             raise ValueError("LogSeries order must be a positive integer")
-        object.__setattr__(self, "a", _normalize_int_coeffs(self.a, self.order, 1))
+        set_field(self, "order", order)
+        set_field(self, "a", _normalize_int_coeffs(a, order, 1))
 
     @classmethod
     def from_values(cls, values: Iterable[int], order: int | None = None) -> LogSeries:

@@ -17,16 +17,21 @@ integral ones ever come out non-integral.
 Every sum here is one weighted compositae row sum
 sum_k F_delta(n, k) w(k), computed by the single kernel _row_sum: w(k) is
 r(k) for z(n), 1/k for g(n) and the theorem sum n*g(n), and the weight
-list stops at k = n - 1 for the sums that drop the k = n term.
+list stops at k = n - 1 for the sums that drop the k = n term.  Each
+call scales its weights once to integers over a common denominator D,
+w(k) = W(k)/D, so a row sum is one integer dot product and one Fraction:
+
+    sum_k F_delta(n, k) w(k) = (sum_k F_delta(n, k) W(k)) / D.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
+from ._value import Value, set_field
 from .compositae import CompositaeTable, compositae_dp
 from .series import (
     IntSeries,
@@ -56,50 +61,69 @@ def _require_table(f: IntSeries, order: int, table: CompositaeTable | None) -> C
     return table
 
 
-def _row_sum(row: Sequence[int], weights: Sequence[Fraction]) -> Fraction:
-    """Exact sum of row[k-1] * weights[k-1] over k = 1..min(len(row), len(weights)).
+ScaledWeights = tuple[list[int], int]
 
-    The terms are scaled to the lcm of the weight denominators and added
-    as integers, so one Fraction is built per row rather than one per
-    term.  Fewer weights than row entries drop the trailing terms.
+
+def _scale_weights(weights: Sequence[Fraction]) -> ScaledWeights:
+    """(ints, den) with weights[i] == ints[i] / den and den the lcm of the denominators."""
+    den = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
+def _reciprocal_weights(n: int) -> ScaledWeights:
+    """_scale_weights of the weights 1/k for k = 1..n, built without Fractions."""
+    den = math.lcm(*range(1, n + 1))
+    return [den // k for k in range(1, n + 1)], den
+
+
+def _row_sum(row: Sequence[int], scaled: ScaledWeights) -> Fraction:
+    """Exact sum of row[k-1] * w(k) over k = 1..min(len(row), len(ints)).
+
+    `scaled` is (ints, den) from _scale_weights, with w(k) = ints[k-1] / den,
+    so the terms add as integers and one Fraction is built per row.
+    Fewer weights than row entries drop the trailing terms.
     """
-    terms = [(v, w) for v, w in zip(row, weights) if v and w]
-    den = math.lcm(*(w.denominator for _, w in terms))
-    return Fraction(sum(v * w.numerator * (den // w.denominator) for v, w in terms), den)
+    ints, den = scaled
+    return Fraction(sum(map(mul, row, ints)), den)
 
 
-def _reciprocals(n: int) -> list[Fraction]:
-    """The weights 1/k for k = 1..n."""
-    return [Fraction(1, k) for k in range(1, n + 1)]
-
-
-@dataclass(frozen=True, eq=True)
-class SuperpositionResult:
+class SuperpositionResult(Value):
     """Coefficients of Z = R(F) plus the scaled sequence n*z(n).
 
     n_times_z[i] holds (i+1) * z(i+1).
     """
 
+    __slots__ = ("z", "n_times_z")
     z: RatSeries
     n_times_z: tuple[Fraction, ...]
+
+    def __init__(self, z: RatSeries, n_times_z: tuple[Fraction, ...]) -> None:
+        set_field(self, "z", z)
+        set_field(self, "n_times_z", n_times_z)
 
     @property
     def order(self) -> int:
         return self.z.order
 
 
-@dataclass(frozen=True, eq=True)
-class LogSuperposition:
+class LogSuperposition(Value):
     """g, n*g(n) and h for G = ln(1/(1-F)) and H = 1/(1-F).
 
     ng[i] = (i+1) * g(i+1) as exact integers; h[i] = h(i+1) is the
     row sum of the compositae triangle.
     """
 
+    __slots__ = ("order", "g", "ng", "h")
     order: int
     g: RatSeries
     ng: tuple[int, ...]
     h: tuple[int, ...]
+
+    def __init__(self, order: int, g: RatSeries, ng: tuple[int, ...], h: tuple[int, ...]) -> None:
+        set_field(self, "order", order)
+        set_field(self, "g", g)
+        set_field(self, "ng", ng)
+        set_field(self, "h", h)
 
     def ng_at(self, n: int) -> int:
         if not (1 <= n <= self.order):
@@ -130,7 +154,7 @@ def superpose(
             f"order {order} exceeds an input order (r: {r.order}, f: {f.order})"
         )
     tab = _require_table(f, order, table)
-    weights = [r.coeff(k) for k in range(1, order + 1)]
+    weights = _scale_weights([r.coeff(k) for k in range(1, order + 1)])
     coeffs = {n: _row_sum(tab.row(n), weights) for n in range(1, order + 1)}
     z = RatSeries(order, {0: r.coeff(0)} | coeffs)
     n_times_z = tuple(n * z.coeff(n) for n in range(1, order + 1))
@@ -194,7 +218,7 @@ def theorem_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None) -
     caller can check that fact rather than trust it.
     """
     _check_n(f, n)
-    return n * _row_sum(_require_table(f, n, table).row(n), _reciprocals(n))
+    return n * _row_sum(_require_table(f, n, table).row(n), _reciprocal_weights(n))
 
 
 def corollary_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None) -> Fraction:
@@ -205,7 +229,7 @@ def corollary_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None)
     gives the empty sum 0.
     """
     _check_n(f, n)
-    return _row_sum(_require_table(f, n, table).row(n), _reciprocals(n - 1))
+    return _row_sum(_require_table(f, n, table).row(n), _reciprocal_weights(n - 1))
 
 
 def statement21_check(f: IntSeries, a: LogSeries, order: int) -> list[Fraction]:
@@ -235,7 +259,7 @@ def statement22_check(f: IntSeries, a: LogSeries, n: int) -> Fraction:
         raise ValueError("n must be a positive integer")
     if f.order < n or a.order < n - 1:
         raise ValueError(f"n={n} exceeds an input order (f: {f.order}, a: {a.order})")
-    weights = [Fraction(a.coeff_a(k), k) for k in range(1, n)]
+    weights = _scale_weights([Fraction(a.coeff_a(k), k) for k in range(1, n)])
     return _row_sum(compositae_dp(f, n).row(n), weights)
 
 

@@ -17,17 +17,19 @@ for any n:
 Ground-truth primality is trial division below 10^6 and fixed-base
 Miller-Rabin above.  The 13 prime bases 2..41 are proven deterministic
 for n < 3317044064679887385961981 (Sorenson and Webster, 2017), so
-witness verdicts are checked against an independent fact there; above
-that bound the ground truth is only probable, and each report's note
-says so.
+witness verdicts are checked against an independent fact there.  From
+that bound on, a strong Lucas test with Selfridge's parameters follows
+the bases, which makes the whole test Baillie-PSW: no composite is known
+to pass it, but none is proven not to, so the ground truth there is only
+probable, and each report's note says so.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._value import Value, set_field
 from .compositae import CompositaeTable, compositae_dp
 from .series import IntSeries
 from .superposition import IntegralityError, theorem_sum
@@ -43,7 +45,8 @@ NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 
 _TRIAL_DIVISION_BOUND = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Below this, the bases above decide primality; at or above it a True is probable.
+# Below this, the bases above decide primality; at or above it a strong Lucas
+# test runs too (Baillie-PSW), and a True is probable.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 # witness_central_binomial sieves [0, 2n-1] with one byte per integer, so n
@@ -54,8 +57,9 @@ CENTRAL_BINOMIAL_MAX_N = 10**8
 def is_prime(n: int) -> bool:
     """Primality by trial division, then fixed-base Miller-Rabin.
 
-    Deterministic for n < 3317044064679887385961981; above that a True
-    means only "probable prime".
+    Deterministic for n < 3317044064679887385961981.  From there on a
+    strong Lucas test follows (Baillie-PSW), and a True means only
+    "probable prime"; a False is always a proof of compositeness.
     """
     if n < 2:
         return False
@@ -66,7 +70,9 @@ def is_prime(n: int) -> bool:
             if n % d == 0:
                 return False
         return True
-    return _miller_rabin(n)
+    if n < _MR_DETERMINISTIC_BOUND:
+        return _miller_rabin(n)
+    return _miller_rabin(n) and _strong_lucas(n)
 
 
 def _miller_rabin(n: int) -> bool:
@@ -92,6 +98,65 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 2, parameters by Selfridge's method A.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4.  Writing n + 1 = d * 2^s, n passes when
+    U(d) = 0 or V(d * 2^r) = 0 mod n for some 0 <= r < s, as every prime
+    does.  A perfect square has no such D and is rejected first.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    disc = 5
+    while True:
+        jacobi = _jacobi(disc, n)
+        if jacobi == -1:
+            break
+        if jacobi == 0 and abs(disc) != n:
+            return False
+        disc = -disc - 2 if disc > 0 else -disc + 2
+    q = (1 - disc) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # Ladder over the bits of d from k = 1: (U(k), V(k), Q^k) mod n, with
+    # U(2k) = U(k)V(k), V(2k) = V(k)^2 - 2Q^k, and for P = 1,
+    # U(k+1) = (U(k) + V(k))/2, V(k+1) = (D U(k) + V(k))/2.
+    u, v, qk = 1, 1, q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, disc * u + v
+            # n is odd, so adding n makes an odd value even without changing it mod n.
+            u, v = (u + n * (u & 1)) // 2 % n, (v + n * (v & 1)) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def lucas_number(n: int, mod: int | None = None) -> int:
     """L(n), n >= 1, by a doubling ladder over the bits of n.
 
@@ -113,8 +178,7 @@ def lucas_number(n: int, mod: int | None = None) -> int:
     return a
 
 
-@dataclass(frozen=True, eq=True)
-class WitnessReport:
+class WitnessReport(Value):
     """Outcome of one compositeness test at one n, with exact evidence.
 
     residue is the tested quantity reduced mod n; verdict is `passes`
@@ -122,19 +186,34 @@ class WitnessReport:
     primality check, independent of the witness.
     """
 
+    __slots__ = ("n", "test", "residue", "verdict", "is_prime_actual", "note")
     n: int
     test: str
     residue: int
     verdict: str
     is_prime_actual: bool
-    note: str = ""
+    note: str
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.residue < self.n):
-            raise ValueError(f"residue {self.residue} outside [0, {self.n})")
-        expected = PASSES if self.residue == 0 else COMPOSITE_WITNESSED
-        if self.verdict != expected:
-            raise ValueError(f"verdict {self.verdict!r} inconsistent with residue {self.residue}")
+    def __init__(
+        self,
+        n: int,
+        test: str,
+        residue: int,
+        verdict: str,
+        is_prime_actual: bool,
+        note: str = "",
+    ) -> None:
+        if not (0 <= residue < n):
+            raise ValueError(f"residue {residue} outside [0, {n})")
+        expected = PASSES if residue == 0 else COMPOSITE_WITNESSED
+        if verdict != expected:
+            raise ValueError(f"verdict {verdict!r} inconsistent with residue {residue}")
+        set_field(self, "n", n)
+        set_field(self, "test", test)
+        set_field(self, "residue", residue)
+        set_field(self, "verdict", verdict)
+        set_field(self, "is_prime_actual", is_prime_actual)
+        set_field(self, "note", note)
 
     @property
     def passes(self) -> bool:
@@ -150,7 +229,8 @@ def _report(n: int, test: str, residue: int, note: str = "") -> WitnessReport:
     if n >= _MR_DETERMINISTIC_BOUND:
         caveat = (
             f"is_prime_actual is only probable: n >= {_MR_DETERMINISTIC_BOUND}, "
-            "beyond the proven range of Miller-Rabin bases 2..41"
+            "beyond the proven range of Miller-Rabin bases 2..41, so a prime "
+            "verdict rests on the unproven Baillie-PSW test"
         )
         note = f"{note}; {caveat}" if note else caveat
     return WitnessReport(
@@ -242,16 +322,32 @@ def _witness_generic(
     return _report(n, f"generic({series_id})", residue, note)
 
 
-@dataclass(frozen=True, eq=True)
-class ScanResult:
+class ScanResult(Value):
     """Exhaustive witness scan over [lo, hi] with ground-truth verdicts."""
 
+    __slots__ = ("lo", "hi", "test", "pseudoprimes", "primes_checked", "composites_checked")
     lo: int
     hi: int
     test: str
     pseudoprimes: tuple[int, ...]
     primes_checked: int
     composites_checked: int
+
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        test: str,
+        pseudoprimes: tuple[int, ...],
+        primes_checked: int,
+        composites_checked: int,
+    ) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "test", test)
+        set_field(self, "pseudoprimes", pseudoprimes)
+        set_field(self, "primes_checked", primes_checked)
+        set_field(self, "composites_checked", composites_checked)
 
     @property
     def values_checked(self) -> int:

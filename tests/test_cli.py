@@ -153,6 +153,14 @@ def test_witness_lucas_705_passes_flagged_pseudoprime(capsys):
     assert "passes" in out and "PSEUDOPRIME" in out
 
 
+def test_witness_flags_the_miller_rabin_bound_as_pseudoprime(capsys):
+    # 1287836182261 * 2575672364521, a strong pseudoprime to every base 2..41
+    n = "3317044064679887385961981"
+    code, out, _ = run(capsys, "witness", "--test", "fermat2", "--n", n)
+    assert code == 0
+    assert "passes" in out and "prime=False" in out and "PSEUDOPRIME" in out
+
+
 def test_witness_central_binomial_4_witnessed(capsys):
     code, out, _ = run(capsys, "witness", "--test", "central-binomial", "--n", "4")
     assert code == 1

@@ -28,7 +28,7 @@ from logseries import (
     superpose,
     theorem_sum,
 )
-from logseries.superposition import _row_sum
+from logseries.superposition import _reciprocal_weights, _row_sum, _scale_weights
 
 LUCAS_17 = [1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843, 1364, 2207, 3571]
 CATALAN_NG_10 = [1, 3, 10, 35, 126, 462, 1716, 6435, 24310, 92378]
@@ -73,15 +73,20 @@ def test_row_sum_matches_per_term_fraction_sum(row, weights):
     per_term = sum(
         (row[k - 1] * weights[k - 1] for k in range(1, n + 1) if row[k - 1]), Fraction(0)
     )
-    assert _row_sum(row, weights) == per_term
+    assert _row_sum(row, _scale_weights(weights)) == per_term
 
 
 def test_row_sum_edge_cases():
-    assert _row_sum((5, 7), []) == 0
-    assert _row_sum((), [Fraction(1, 2)]) == 0
-    assert _row_sum((0, 0, 3), [Fraction(1, 3)] * 3) == 1
-    assert _row_sum((-4, 6, 9), [Fraction(1, 2), Fraction(-1, 3)]) == -4
-    assert _row_sum((2, 9), [Fraction(1, 4), Fraction(1, 4)]) == Fraction(11, 4)
+    assert _row_sum((5, 7), _scale_weights([])) == 0
+    assert _row_sum((), _scale_weights([Fraction(1, 2)])) == 0
+    assert _row_sum((0, 0, 3), _scale_weights([Fraction(1, 3)] * 3)) == 1
+    assert _row_sum((-4, 6, 9), _scale_weights([Fraction(1, 2), Fraction(-1, 3)])) == -4
+    assert _row_sum((2, 9), _scale_weights([Fraction(1, 4), Fraction(1, 4)])) == Fraction(11, 4)
+
+
+def test_reciprocal_weights_scale_one_over_k():
+    for n in range(0, 40):
+        assert _reciprocal_weights(n) == _scale_weights([Fraction(1, k) for k in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------

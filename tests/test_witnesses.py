@@ -166,11 +166,30 @@ MR_BOUND = 3317044064679887385961981
 def test_reports_flag_probable_ground_truth_from_the_miller_rabin_bound():
     caveat = f"is_prime_actual is only probable: n >= {MR_BOUND}"
     above = witness_fermat2(MR_BOUND)
-    assert above.is_prime_actual and MR_BOUND % 1287836182261 == 0
+    assert not above.is_prime_actual and MR_BOUND == 1287836182261 * 2575672364521
     assert above.note.startswith(caveat)
     assert witness_lucas(MR_BOUND - 2).note == ""
     joined = witnesses._report(MR_BOUND, "generic(x)", 0, "degenerate")
     assert joined.note.startswith("degenerate; " + caveat)
+
+
+def test_is_prime_from_the_miller_rabin_bound_adds_a_strong_lucas_test():
+    # the factorization is the oracle; the bases 2..41 alone call MR_BOUND prime
+    assert MR_BOUND == 1287836182261 * 2575672364521
+    assert witnesses._miller_rabin(MR_BOUND)
+    assert not is_prime(MR_BOUND)
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)  # Mersenne primes
+    assert not is_prime((2**89 - 1) * (2**127 - 1))
+    assert not is_prime((2**61 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes_below_60000():
+    # Strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255):
+    # every odd prime passes, and these are the only composites that do.
+    passers = [n for n in range(3, 60000, 2) if witnesses._strong_lucas(n)]
+    composites = [n for n in passers if not trial_division(n)]
+    assert composites == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+    assert len(passers) - len(composites) == sum(map(trial_division, range(3, 60000, 2)))
 
 
 @pytest.mark.parametrize("witness", [witness_fermat2, witness_lucas, witness_central_binomial])
