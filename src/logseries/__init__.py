@@ -25,23 +25,12 @@ from .sequences import (
     make_series,
     parse_coefficient_text,
 )
-from .series import (
-    IntSeries,
-    LogSeries,
-    RatSeries,
-    geometric_inverse,
-    is_integral,
-    series_add,
-    series_derivative,
-    series_mul,
-)
+from .series import IntSeries, LogSeries, RatSeries
 from .superposition import (
     IntegralityError,
     LogSuperposition,
     SuperpositionResult,
-    compose_truncated,
     corollary_sum,
-    derivative_identity_residual,
     log_superposition,
     statement21_check,
     statement22_check,
@@ -89,15 +78,11 @@ __all__ = [
     "SequenceSpec",
     "SuperpositionResult",
     "WitnessReport",
-    "compose_truncated",
     "compositae_bruteforce",
     "compositae_dp",
     "compositions",
     "corollary_sum",
-    "derivative_identity_residual",
     "enumerate_part_multisets",
-    "geometric_inverse",
-    "is_integral",
     "is_prime",
     "load_coefficient_file",
     "log_superposition",
@@ -106,9 +91,6 @@ __all__ = [
     "multinomial_count",
     "parse_coefficient_text",
     "scan_pseudoprimes",
-    "series_add",
-    "series_derivative",
-    "series_mul",
     "statement21_check",
     "statement22_check",
     "superpose",

@@ -7,8 +7,9 @@ Output contract:
     rendered as decimal strings in JSON, never floats, so exactness
     survives any JSON parser.
   - Exit codes: 0 success (witness: passes), 1 composite-witnessed,
-    2 usage or input error, 3 internal error (an exact value that must
-    be an integer came out fractional).  Diagnostics go to stderr.
+    2 usage or input error, 3 internal error (any other exception, such
+    as an exact value that must be an integer coming out fractional, or
+    a MemoryError).  Diagnostics go to stderr, one line each.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .compositae import CompositaeTable, compositae_dp
 from .sequences import CoefficientFileError, SequenceSpec, make_series
 from .series import IntSeries
-from .superposition import IntegralityError, LogSuperposition, log_superposition, theorem_sum
+from .superposition import LogSuperposition, log_superposition, theorem_sum
 from .witnesses import (
     GENERIC,
     NAMED_TESTS,
@@ -339,8 +340,11 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, CoefficientFileError, ValueError) as exc:
         print(f"logseries {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IntegralityError as exc:
-        print(f"logseries {args.command}: internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(
+            f"logseries {args.command}: internal error: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return EXIT_INTERNAL
     print(output)
     return code

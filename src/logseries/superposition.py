@@ -33,15 +33,7 @@ from operator import mul
 
 from ._value import Value, set_field
 from .compositae import CompositaeTable, compositae_dp
-from .series import (
-    IntSeries,
-    LogSeries,
-    RatSeries,
-    geometric_inverse,
-    series_add,
-    series_derivative,
-    series_mul,
-)
+from .series import IntSeries, LogSeries, RatSeries
 
 
 class IntegralityError(ArithmeticError):
@@ -101,10 +93,6 @@ class SuperpositionResult(Value):
         set_field(self, "z", z)
         set_field(self, "n_times_z", n_times_z)
 
-    @property
-    def order(self) -> int:
-        return self.z.order
-
 
 class LogSuperposition(Value):
     """g, n*g(n) and h for G = ln(1/(1-F)) and H = 1/(1-F).
@@ -159,26 +147,6 @@ def superpose(
     z = RatSeries(order, {0: r.coeff(0)} | coeffs)
     n_times_z = tuple(n * z.coeff(n) for n in range(1, order + 1))
     return SuperpositionResult(z=z, n_times_z=n_times_z)
-
-
-def compose_truncated(r: RatSeries, f: IntSeries, order: int) -> RatSeries:
-    """Direct functional composition R(F) by Horner evaluation.
-
-    Cross-check route for superpose(): substitutes f into r from the
-    highest power down, using only truncated add/mul.  Valid because f
-    has no constant term, so powers f^k with k > order cannot reach
-    coefficients <= order.
-    """
-    if r.order < order or f.order < order:
-        raise ValueError(
-            f"order {order} exceeds an input order (r: {r.order}, f: {f.order})"
-        )
-    frat = f.to_rat().truncated(order)
-    top = min(r.order, order)
-    acc = RatSeries.constant(r.coeff(top), order)
-    for k in range(top - 1, -1, -1):
-        acc = series_add(series_mul(acc, frat), RatSeries.constant(r.coeff(k), order))
-    return acc
 
 
 def log_superposition(f: IntSeries, order: int) -> LogSuperposition:
@@ -261,17 +229,3 @@ def statement22_check(f: IntSeries, a: LogSeries, n: int) -> Fraction:
         raise ValueError(f"n={n} exceeds an input order (f: {f.order}, a: {a.order})")
     weights = _scale_weights([Fraction(a.coeff_a(k), k) for k in range(1, n)])
     return _row_sum(compositae_dp(f, n).row(n), weights)
-
-
-def derivative_identity_residual(f: IntSeries) -> RatSeries:
-    """F'/(1-F) minus G' as a series; identically zero up to truncation.
-
-    Exposes the product-of-series route to n*g(n): the coefficient of
-    x^{n-1} in F'(x) * H(x) equals n*g(n).  Useful as an independent
-    integer-arithmetic check on log_superposition.
-    """
-    frat = f.to_rat()
-    lhs = series_mul(series_derivative(frat), geometric_inverse(f))
-    g = log_superposition(f, f.order).g
-    rhs = series_derivative(g)
-    return series_add(lhs, RatSeries(rhs.order, {n: -c for n, c in rhs.coeffs.items()}))

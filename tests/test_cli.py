@@ -263,7 +263,20 @@ def test_internal_error_exits_3_not_witness_status(capsys, monkeypatch):
     code, out, err = run(capsys, "witness", "--test", "generic", "--seq", "ones", "--n", "7")
     assert code == 3
     assert out == ""
-    assert err.startswith("logseries witness: internal error: n*g(n) came out fractional")
+    assert err.startswith(
+        "logseries witness: internal error: IntegralityError: n*g(n) came out fractional"
+    )
+
+
+def test_unexpected_exception_exits_3_with_one_stderr_line(capsys, monkeypatch):
+    def broken(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(witnesses, "is_prime", broken)
+    code, out, err = run(capsys, "witness", "--test", "fermat2", "--n", "341")
+    assert code == 3
+    assert out == ""
+    assert err == "logseries witness: internal error: RuntimeError: boom\n"
 
 
 @pytest.mark.parametrize(

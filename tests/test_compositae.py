@@ -15,10 +15,9 @@ from logseries import (
     compositae_dp,
     compositions,
     enumerate_part_multisets,
-    geometric_inverse,
     multinomial_count,
-    series_mul,
 )
+from series_oracles import geometric_inverse, series_mul
 
 
 def ones(order):

@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logseries import (
-    IntSeries,
-    LogSeries,
-    RatSeries,
-    geometric_inverse,
-    is_integral,
-    series_add,
-    series_derivative,
-    series_mul,
-)
+from logseries import IntSeries, LogSeries, RatSeries
+from series_oracles import geometric_inverse, series_add, series_derivative, series_mul
 
 
 def rat(n, d=1):
@@ -77,8 +69,8 @@ def test_sparse_zero_dropping_makes_equality_canonical():
 
 
 def test_sparse_high_order_is_cheap():
-    f = IntSeries.x(500)
-    assert f.support == (1,)
+    f = IntSeries(500, {1: 1})
+    assert f.coeffs == {1: 1}
     assert f.coeff(500) == 0
 
 
@@ -100,18 +92,11 @@ def test_rat_series_order_zero_allowed_int_series_not():
 
 
 def test_log_series_materializes_to_a_over_n():
-    a = LogSeries.from_values([1, -2, 3, -4])
+    a = LogSeries(4, {1: 1, 2: -2, 3: 3, 4: -4})
     r = a.to_rat()
     assert r.coeff(0) == 0
     assert [r.coeff(n) for n in range(1, 5)] == [rat(1), rat(-1), rat(1), rat(-1)]
-    assert LogSeries.from_values([5, 7]).to_rat().coeff(2) == rat(7, 2)
-
-
-def test_truncated():
-    f = IntSeries(5, {1: 1, 4: 2})
-    assert f.truncated(3) == IntSeries(3, {1: 1})
-    with pytest.raises(ValueError):
-        f.truncated(6)
+    assert LogSeries(2, {1: 5, 2: 7}).to_rat().coeff(2) == rat(7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +104,14 @@ def test_truncated():
 
 
 def test_add_additive_inverse():
-    p = RatSeries.from_values([0, 1, rat(1, 2)])
-    q = RatSeries.from_values([0, -1], order=2)
+    p = RatSeries(2, {1: 1, 2: rat(1, 2)})
+    q = RatSeries(2, {1: -1})
     assert series_add(p, q) == RatSeries(2, {2: rat(1, 2)})
 
 
 def test_add_zero_identity():
-    p = RatSeries.from_values([rat(2, 3), 0, 5])
-    assert series_add(p, RatSeries.zero(2)) == p
+    p = RatSeries(2, {0: rat(2, 3), 2: 5})
+    assert series_add(p, RatSeries(2, {})) == p
 
 
 def test_add_exact_rationals():
@@ -146,14 +131,14 @@ def test_add_truncates_to_min_order():
 
 
 def test_mul_difference_of_squares():
-    p = RatSeries.from_values([1, 1, 0])
-    q = RatSeries.from_values([1, -1, 0])
+    p = RatSeries(2, {0: 1, 1: 1})
+    q = RatSeries(2, {0: 1, 1: -1})
     assert series_mul(p, q) == RatSeries(2, {0: rat(1), 2: rat(-1)})
 
 
 def test_mul_one_identity():
-    p = RatSeries.from_values([rat(1, 7), 3, 0, rat(-2, 5)])
-    assert series_mul(p, RatSeries.one(p.order)) == p
+    p = RatSeries(3, {0: rat(1, 7), 1: 3, 3: rat(-2, 5)})
+    assert series_mul(p, RatSeries(p.order, {0: 1})) == p
 
 
 def test_mul_hand_expansion():
@@ -171,7 +156,7 @@ def test_derivative_of_log_like_series():
 
 
 def test_derivative_of_constant_is_zero():
-    assert series_derivative(RatSeries.constant(9, 3)) == RatSeries.zero(2)
+    assert series_derivative(RatSeries(3, {0: 9})) == RatSeries(2, {})
 
 
 def test_derivative_hand_computation():
@@ -181,7 +166,7 @@ def test_derivative_hand_computation():
 
 def test_derivative_rejects_order_zero():
     with pytest.raises(ValueError):
-        series_derivative(RatSeries.constant(1, 0))
+        series_derivative(RatSeries(0, {0: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +174,7 @@ def test_derivative_rejects_order_zero():
 
 
 def test_geometric_inverse_of_x():
-    h = geometric_inverse(IntSeries.x(5))
+    h = geometric_inverse(IntSeries(5, {1: 1}))
     assert h == RatSeries(5, {n: rat(1) for n in range(6)})
 
 
@@ -199,22 +184,22 @@ def test_geometric_inverse_fibonacci():
 
 
 def test_geometric_inverse_of_zero():
-    assert geometric_inverse(IntSeries.zero(4)) == RatSeries.one(4)
+    assert geometric_inverse(IntSeries(4, {})) == RatSeries(4, {0: 1})
 
 
 @given(int_series())
 def test_geometric_inverse_is_integer_valued(f):
-    assert geometric_inverse(f).is_integer_valued()
+    assert all(c.denominator == 1 for c in geometric_inverse(f).coeffs.values())
 
 
 @given(int_series())
 def test_geometric_inverse_times_one_minus_f_is_one(f):
     h = geometric_inverse(f)
     one_minus_f = series_add(
-        RatSeries.one(f.order),
+        RatSeries(f.order, {0: 1}),
         RatSeries(f.order, {n: Fraction(-c) for n, c in f.coeffs.items()}),
     )
-    assert series_mul(h, one_minus_f) == RatSeries.one(f.order)
+    assert series_mul(h, one_minus_f) == RatSeries(f.order, {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +242,3 @@ def test_results_stay_reduced_with_positive_denominator(pq):
         for c in result.coeffs.values():
             assert c.denominator > 0
             assert gcd(abs(c.numerator), c.denominator) == 1
-
-
-def test_is_integral_helper():
-    assert is_integral(Fraction(6, 3))
-    assert not is_integral(Fraction(7, 3))

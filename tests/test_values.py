@@ -1,4 +1,4 @@
-"""The immutable value classes, and what importing the CLI loads."""
+"""The immutable value classes, the public surface, and what importing the CLI loads."""
 
 import copy
 import os
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import logseries
 from logseries import (
     CompositaeTable,
     IntSeries,
@@ -204,3 +205,20 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_public_surface_resolves_and_ships_no_series_algebra():
+    assert len(logseries.__all__) == len(set(logseries.__all__))
+    for name in logseries.__all__:
+        assert getattr(logseries, name) is not None, name
+    # the slow cross-check routes are test oracles (tests/series_oracles.py)
+    for name in (
+        "series_add",
+        "series_mul",
+        "series_derivative",
+        "geometric_inverse",
+        "compose_truncated",
+        "derivative_identity_residual",
+        "is_integral",
+    ):
+        assert not hasattr(logseries, name), name
