@@ -8,14 +8,18 @@ Output contract:
     survives any JSON parser.
   - Exit codes: 0 success (witness: passes), 1 composite-witnessed,
     2 usage or input error, 3 internal error (any other exception, such
-    as an exact value that must be an integer coming out fractional, or
-    a MemoryError).  Diagnostics go to stderr, one line each.
+    as an exact value that must be an integer coming out fractional, a
+    MemoryError, or a stdout that cannot be written, e.g. a closed
+    pipe).  Diagnostics go to stderr, one line each.
+  - Exact values have no digit limit: main() lifts CPython's int/str
+    conversion limit (4300 digits) for the length of the call.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -148,7 +152,8 @@ def render_json(command: str, inputs: dict, result: dict) -> str:
     """json.dumps({"command", "input", "result"}, indent=2), byte for byte.
 
     The output is built in one parts list and joined once; a list of
-    strings (a triangle row, say) is written by a single join.
+    strings (a triangle row, say) is written by a single join, after one
+    check of the whole list for characters JSON must escape.
     """
     parts: list[str] = []
     _render(parts, {"command": command, "input": inputs, "result": result}, "\n")
@@ -170,9 +175,18 @@ def _render(parts: list[str], value, newline: str) -> None:
             sep = "," + inner
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
-        if all(isinstance(item, str) for item in value):
+        try:
+            text = "".join(value)
+        except TypeError:  # not a list of strings
+            text = None
+        if text is not None:
             parts.append("[" + inner)
-            parts.append(("," + inner).join(map(encode_basestring_ascii, value)))
+            # Printable ASCII other than '"' and '\' is exactly what
+            # json.dumps writes unescaped, so the items need only quotes.
+            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+                parts.append('"' + ('",' + inner + '"').join(value) + '"')
+            else:
+                parts.append(("," + inner).join(map(encode_basestring_ascii, value)))
         else:
             sep = "[" + inner
             for item in value:
@@ -199,11 +213,14 @@ def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
 
 def cmd_compositae(args: argparse.Namespace) -> tuple[int, str]:
     f = _build_series(args)
-    table = compositae_dp(f, f.order)
     if args.format == "json":
+        # No name keeps the table: its ints are freed before render_json runs.
         return EXIT_OK, render_json(
-            "compositae", {"seq": args.seq, "order": f.order}, table_to_payload(table)
+            "compositae",
+            {"seq": args.seq, "order": f.order},
+            table_to_payload(compositae_dp(f, f.order)),
         )
+    table = compositae_dp(f, f.order)
     lines = [f"compositae triangle  seq={args.seq}  order={f.order}"]
     for n in range(1, f.order + 1):
         lines.append(f"n={n}: " + " ".join(map(str, table.row(n))))
@@ -333,21 +350,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Exact values and inline coefficients may pass CPython's int/str digit
+    # limit (3.10.7 and later); lift it for this call and put it back after.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         code, output = _COMMANDS[args.command](args)
     except (UsageError, CoefficientFileError, ValueError) as exc:
         print(f"logseries {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        print(
-            f"logseries {args.command}: internal error: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
-    print(output)
+        return _internal_error(args.command, exc)
+    try:
+        print(output, flush=True)
+    except OSError as exc:
+        # The reader has gone (a closed pipe, say).  Point stdout at devnull so
+        # the interpreter's flush of what is still buffered cannot fail at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _internal_error(args.command, exc)
     return code
+
+
+def _internal_error(command: str, exc: Exception) -> int:
+    print(f"logseries {command}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Iterator
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from ._value import Value, set_field
 from .series import IntSeries
@@ -74,9 +74,11 @@ def compositae_dp(f: IntSeries, order: int) -> CompositaeTable:
         F_delta(n, 1) = f(n)
         F_delta(n, k) = sum_{m < n} f(m) * F_delta(n - m, k - 1),  k >= 2
     so row n starts as [f(n), 0, ..., 0] and each support term (m, c)
-    adds c times row n - m into entries 2..n - m + 1.  Only the support
+    adds c times row n - m into entries 2..n - m + 1.  The first (widest)
+    term assigns its slice instead of adding into zeros.  Only the support
     of f is visited, so series with small support (e.g. x + x^2) stay
-    cheap, and c = +-1 costs an add or subtract with no multiply.
+    cheap, and c = +-1 costs a copy, negation, add or subtract with no
+    multiply.
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
@@ -89,12 +91,21 @@ def compositae_dp(f: IntSeries, order: int) -> CompositaeTable:
     for n in range(1, order + 1):
         row = [0] * n
         row[0] = f.coeffs.get(n, 0)
+        first = True
         for m, c in support:
             if m >= n:
                 break
             prev = rows[n - m - 1]
             stop = n - m + 1
-            if c == 1:
+            if first:
+                first = False
+                if c == 1:
+                    row[1:stop] = prev
+                elif c == -1:
+                    row[1:stop] = map(neg, prev)
+                else:
+                    row[1:stop] = map(mul, itertools.repeat(c), prev)
+            elif c == 1:
                 row[1:stop] = map(add, row[1:stop], prev)
             elif c == -1:
                 row[1:stop] = map(sub, row[1:stop], prev)

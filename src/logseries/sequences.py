@@ -6,7 +6,9 @@ Built-in kinds:
     fib-gf           f(1) = f(2) = 1, all other coefficients 0
     catalan-shifted  f(n) = Catalan(n-1) = 1, 1, 2, 5, 14, 42, ...
     file:<path>      coefficients read from a text file
-    inline:<ints>    comma-separated coefficients, e.g. inline:1,-2,3
+    inline:<ints>    comma-separated coefficients, e.g. inline:1,-2,3;
+                     an empty field (inline:1,,2, a trailing comma, or
+                     nothing after the colon) is an error
 
 Coefficient files are UTF-8 text with one integer per line; blank lines
 and lines starting with '#' are skipped, and the i-th surviving line
@@ -112,8 +114,11 @@ def make_series(spec: SequenceSpec) -> IntSeries:
         return IntSeries.from_values(load_coefficient_file(kind[len("file:"):]), order)
     if kind.startswith("inline:"):
         body = kind[len("inline:"):]
+        fields = [part.strip() for part in body.split(",")]
+        if "" in fields:
+            raise ValueError(f"inline coefficient {fields.index('') + 1} is empty: {body!r}")
         try:
-            values = [int(part.strip()) for part in body.split(",") if part.strip() != ""]
+            values = [int(part) for part in fields]
         except ValueError:
             raise ValueError(f"inline coefficients must be integers: {body!r}") from None
         return IntSeries.from_values(values, order)

@@ -1,7 +1,11 @@
 """CLI surface: commands, exit codes, JSON schema round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +27,9 @@ from logseries.cli import (
     witness_from_payload,
     witness_to_payload,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -252,6 +259,51 @@ def test_malformed_file_diagnostic_has_line_number(capsys, tmp_path):
     assert f"{path}:2" in err
 
 
+def test_inline_empty_field_is_input_error(capsys):
+    code, out, err = run(capsys, "compositae", "--seq", "inline:1,,2", "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "logseries compositae: error: inline coefficient 2 is empty: '1,,2'\n"
+
+
+def test_exact_values_beyond_the_int_str_digit_limit(capsys):
+    # CPython (3.10.7+) refuses int <-> str conversions past 4300 digits by
+    # default; main() lifts that for its own call only.
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    big = "1" + "0" * 450  # 10**450, whose 10th power has 4501 digits
+    code, out, err = run(
+        capsys, "compositae", "--seq", f"inline:{big}", "--order", "10", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["rows"][-1][-1] == "1" + "0" * 4500
+    long_coefficient = "7" * 4400
+    code, out, err = run(capsys, "theorem", "--seq", f"inline:{long_coefficient}", "--n", "1")
+    assert (code, err) == (0, "")
+    assert f": {long_coefficient} (integral)" in out
+    assert get_limit() == limit
+
+
+def test_closed_stdout_exits_3_with_one_stderr_line():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # The triangle's text (megabytes) cannot fit in the pipe, so the write
+    # fails whether it starts before or after the reader closes its end.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logseries.cli", "compositae", "--seq", "ones", "--order", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("logseries compositae: internal error: BrokenPipeError")
+
+
 def test_unknown_seq_kind_is_input_error(capsys):
     code, _, err = run(capsys, "loggf", "--seq", "nope", "--order", "4")
     assert code == 2
@@ -300,6 +352,15 @@ def test_argparse_usage_error_exits_2():
 
 
 JSON_TEXT = st.text(st.sampled_from('a9 "\\/\n\t\x00\x1f\x7fé€\U0001d11e')) | st.text()
+# A triangle row as table_to_payload writes it, and the same row with one
+# item that json.dumps must escape, so render_json cannot join it verbatim.
+DECIMALS = (["-12", "0", "7/3"] * 334)[:1000]
+
+
+def with_middle(item: str) -> list[str]:
+    return DECIMALS[:500] + [item] + DECIMALS[501:]
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | JSON_TEXT,
     lambda inner: st.lists(inner) | st.dictionaries(JSON_TEXT, inner),
@@ -311,6 +372,13 @@ JSON_VALUES = st.recursive(
 @given(JSON_TEXT, st.dictionaries(JSON_TEXT, JSON_VALUES), JSON_VALUES)
 @example("c", {}, {"rows": [[], ["1", "-2"], ["x", 3, None], [True, {"k": []}]], "e": {}})
 @example('q"\\', {"é": ["\x00", "\n"]}, [["\u2028", 2**200, -(2**70)]])
+@example("compositae", {}, {"rows": [DECIMALS]})
+@example("c", {}, {"rows": [with_middle('"')]})
+@example("c", {}, {"rows": [with_middle("\\")]})
+@example("c", {}, {"rows": [with_middle("\x7f")]})
+@example("c", {}, {"rows": [with_middle("é")]})
+@example("c", {}, {"rows": [["1", 2, "3"], ("4", -5)]})
+@example("c", {}, {"rows": [["1", "", "2"], [""]]})
 def test_render_json_matches_json_dumps(command, inputs, result):
     expected = json.dumps({"command": command, "input": inputs, "result": result}, indent=2)
     assert render_json(command, inputs, result) == expected

@@ -165,9 +165,12 @@ def wide_series(draw):
 @given(wide_series())
 @example(IntSeries(40, {1: 1, 2: -1, 3: 2, 5: -(10**6), 9: 1, 11: -1}))
 @example(IntSeries(12, {2: 1, 3: 1}))
+@example(IntSeries(20, {1: -1, 2: 1, 4: 3, 7: -1}))
+@example(IntSeries(20, {1: 3, 2: -1, 3: 1, 6: -2}))
 def test_dp_matches_powers_of_f(f):
     # F_delta(n, k) is the coefficient of x^n in F^k; the examples reach the
-    # DP's c = 1, c = -1 and general-c branches, and f(1) = 0.
+    # DP's c = 1, c = -1 and general-c branches, both for the first support
+    # term (which assigns its slice) and for later ones, and f(1) = 0.
     table = compositae_dp(f, f.order)
     rat = f.to_rat()
     power = rat

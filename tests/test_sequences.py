@@ -52,6 +52,13 @@ def test_inline_rejects_garbage():
         make_series(SequenceSpec("inline:1,two,3", 3))
 
 
+@pytest.mark.parametrize("kind", ["inline:1,,2", "inline:1,2,", "inline:,1", "inline:1, ,2", "inline:"])
+def test_inline_rejects_empty_fields(kind):
+    # Dropping an empty field would shift every later coefficient down one index.
+    with pytest.raises(ValueError, match="is empty"):
+        make_series(SequenceSpec(kind, 3))
+
+
 def test_unknown_kind_rejected_at_spec_construction():
     with pytest.raises(ValueError, match="unknown sequence kind"):
         SequenceSpec("fibonacci", 5)
