@@ -179,14 +179,16 @@ def _render(parts: list[str], value, newline: str) -> None:
             text = "".join(value)
         except TypeError:  # not a list of strings
             text = None
-        if text is not None:
-            parts.append("[" + inner)
-            # Printable ASCII other than '"' and '\' is exactly what
-            # json.dumps writes unescaped, so the items need only quotes.
-            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-                parts.append('"' + ('",' + inner + '"').join(value) + '"')
-            else:
-                parts.append(("," + inner).join(map(encode_basestring_ascii, value)))
+        # Printable ASCII other than '"' and '\' is exactly what json.dumps
+        # writes unescaped, so such strings need only quotes.
+        if (
+            text is not None
+            and text.isascii()
+            and text.isprintable()
+            and '"' not in text
+            and "\\" not in text
+        ):
+            parts.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
         else:
             sep = "[" + inner
             for item in value:
@@ -372,12 +374,7 @@ def _run(args: argparse.Namespace) -> int:
         return _internal_error(args.command, exc)
     try:
         print(output, flush=True)
-    except OSError as exc:
-        # The reader has gone (a closed pipe, say).  Point stdout at devnull so
-        # the interpreter's flush of what is still buffered cannot fail at exit.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except OSError as exc:  # the reader has gone (a closed pipe, say)
         return _internal_error(args.command, exc)
     return code
 
@@ -387,5 +384,24 @@ def _internal_error(command: str, exc: Exception) -> int:
     return EXIT_INTERNAL
 
 
+def script() -> int:
+    """Process entry point (`logseries`, `python -m logseries.cli`): main() on sys.argv.
+
+    If stdout's reader has gone, main has reported it and returned 3, but
+    the failed write is still buffered.  fd 1 is then pointed at devnull, so
+    the interpreter's flush at exit cannot fail and print "Exception ignored".
+    In-process callers of main() keep their fd 1.
+    """
+    code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, JSON schema round-trips."""
 
+import io
 import json
 import os
 import subprocess
@@ -284,24 +285,51 @@ def test_exact_values_beyond_the_int_str_digit_limit(capsys):
     assert get_limit() == limit
 
 
-def test_closed_stdout_exits_3_with_one_stderr_line():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--test", "fermat2", "--n", "341"],  # held in stdout's buffer
+        ["compositae", "--seq", "ones", "--order", "300"],  # megabytes, past it
+    ],
+    ids=["short", "long"],
+)
+def test_closed_stdout_exits_3_with_one_stderr_line(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    # The triangle's text (megabytes) cannot fit in the pipe, so the write
-    # fails whether it starts before or after the reader closes its end.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "logseries.cli", "compositae", "--seq", "ones", "--order", "300"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 3
+    # A buffered stdout still holds the failed write at exit; the
+    # interpreter's flush of it must not fail too.
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "logseries.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
-    assert err.startswith("logseries compositae: internal error: BrokenPipeError")
+    assert err.startswith(f"logseries {argv[0]}: internal error: BrokenPipeError")
+
+
+def test_unwritable_stdout_in_process_exits_3_and_keeps_fd_1(capsys, monkeypatch):
+    class Unwritable(io.TextIOBase):  # write fails; fileno() is unsupported
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    fd_1 = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    code = main(["compositae", "--seq", "ones", "--order", "5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "logseries compositae: internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+    assert os.path.samestat(os.fstat(1), fd_1)
 
 
 def test_unknown_seq_kind_is_input_error(capsys):
