@@ -3,9 +3,11 @@
 Output contract:
   - text (default) or JSON via --format; JSON is a single object
     {"command", "input", "result"} printed to stdout.
-  - Mathematical values (triangle entries, g/ng/h, sums, residues) are
-    rendered as decimal strings in JSON, never floats, so exactness
-    survives any JSON parser.
+  - Mathematical values (triangle entries, g/ng/h, sums, residues) and
+    the integers n, lo, hi and the pseudoprimes are rendered as decimal
+    strings in JSON, never floats, so exactness survives any JSON parser
+    (doubles lose integers above 2**53).  Orders, counts and threads stay
+    JSON numbers.
   - Exit codes: 0 success (witness: passes), 1 composite-witnessed,
     2 usage or input error, 3 internal error (any other exception, such
     as an exact value that must be an integer coming out fractional, a
@@ -55,15 +57,20 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs.  Encoders render exact values as decimal strings; the paired
-# decoders rebuild the original objects, which is what the round-trip tests
-# exercise.
+# JSON codecs.  Exact values are decimal strings in the JSON: an encoder
+# gives one value as its str() and a list of them as Decimals.  The paired
+# decoders read values through int() or Fraction(), so the numbers or their
+# decimal strings decode; the round-trip tests exercise both directions.
+
+class Decimals(tuple):
+    """Exact numbers (ints, Fractions) that render_json writes as a list of
+    their str(), in one join: digits, '-' and '/' need no JSON escape."""
+
+    __slots__ = ()
+
 
 def table_to_payload(table: CompositaeTable) -> dict:
-    return {
-        "order": table.order,
-        "rows": [list(map(str, row)) for row in table.rows],
-    }
+    return {"order": table.order, "rows": list(map(Decimals, table.rows))}
 
 
 def table_from_payload(payload: dict) -> CompositaeTable:
@@ -76,9 +83,9 @@ def table_from_payload(payload: dict) -> CompositaeTable:
 def loggf_to_payload(ls: LogSuperposition) -> dict:
     return {
         "order": ls.order,
-        "ng": [str(v) for v in ls.ng],
-        "g": [str(ls.g.coeff(n)) for n in range(1, ls.order + 1)],
-        "h": [str(v) for v in ls.h],
+        "ng": Decimals(ls.ng),
+        "g": Decimals(ls.g.coeff(n) for n in range(1, ls.order + 1)),
+        "h": Decimals(ls.h),
     }
 
 
@@ -97,7 +104,7 @@ def loggf_from_payload(payload: dict) -> LogSuperposition:
 
 def witness_to_payload(report: WitnessReport) -> dict:
     return {
-        "n": report.n,
+        "n": str(report.n),
         "test": report.test,
         "residue": str(report.residue),
         "verdict": report.verdict,
@@ -109,7 +116,7 @@ def witness_to_payload(report: WitnessReport) -> dict:
 
 def witness_from_payload(payload: dict) -> WitnessReport:
     return WitnessReport(
-        n=payload["n"],
+        n=int(payload["n"]),
         test=payload["test"],
         residue=int(payload["residue"]),
         verdict=payload["verdict"],
@@ -120,10 +127,10 @@ def witness_from_payload(payload: dict) -> WitnessReport:
 
 def scan_to_payload(result: ScanResult) -> dict:
     return {
-        "lo": result.lo,
-        "hi": result.hi,
+        "lo": str(result.lo),
+        "hi": str(result.hi),
         "test": result.test,
-        "pseudoprimes": list(result.pseudoprimes),
+        "pseudoprimes": Decimals(result.pseudoprimes),
         "primes_checked": result.primes_checked,
         "composites_checked": result.composites_checked,
     }
@@ -131,29 +138,29 @@ def scan_to_payload(result: ScanResult) -> dict:
 
 def scan_from_payload(payload: dict) -> ScanResult:
     return ScanResult(
-        lo=payload["lo"],
-        hi=payload["hi"],
+        lo=int(payload["lo"]),
+        hi=int(payload["hi"]),
         test=payload["test"],
-        pseudoprimes=tuple(payload["pseudoprimes"]),
+        pseudoprimes=tuple(map(int, payload["pseudoprimes"])),
         primes_checked=payload["primes_checked"],
         composites_checked=payload["composites_checked"],
     )
 
 
 def theorem_to_payload(n: int, value: Fraction) -> dict:
-    return {"n": n, "value": str(value), "integral": value.denominator == 1}
+    return {"n": str(n), "value": str(value), "integral": value.denominator == 1}
 
 
 def theorem_from_payload(payload: dict) -> tuple[int, Fraction, bool]:
-    return payload["n"], Fraction(payload["value"]), payload["integral"]
+    return int(payload["n"]), Fraction(payload["value"]), payload["integral"]
 
 
 def render_json(command: str, inputs: dict, result: dict) -> str:
-    """json.dumps({"command", "input", "result"}, indent=2), byte for byte.
+    """json.dumps({"command", "input", "result"}, indent=2), byte for byte,
+    with each Decimals list written as the list of its decimal strings.
 
-    The output is built in one parts list and joined once; a list of
-    strings (a triangle row, say) is written by a single join, after one
-    check of the whole list for characters JSON must escape.
+    The output is built in one parts list and joined once; a Decimals list
+    (a triangle row, say) is written by a single join of its str() values.
     """
     parts: list[str] = []
     _render(parts, {"command": command, "input": inputs, "result": result}, "\n")
@@ -174,27 +181,15 @@ def _render(parts: list[str], value, newline: str) -> None:
             _render(parts, item, inner)
             sep = "," + inner
         parts.append(newline + "}")
+    elif isinstance(value, Decimals) and value:
+        text = ('",' + inner + '"').join(map(str, value))
+        parts.append("[" + inner + '"' + text + '"' + newline + "]")
     elif isinstance(value, (list, tuple)) and value:
-        try:
-            text = "".join(value)
-        except TypeError:  # not a list of strings
-            text = None
-        # Printable ASCII other than '"' and '\' is exactly what json.dumps
-        # writes unescaped, so such strings need only quotes.
-        if (
-            text is not None
-            and text.isascii()
-            and text.isprintable()
-            and '"' not in text
-            and "\\" not in text
-        ):
-            parts.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"')
-        else:
-            sep = "[" + inner
-            for item in value:
-                parts.append(sep)
-                _render(parts, item, inner)
-                sep = "," + inner
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _render(parts, item, inner)
+            sep = "," + inner
         parts.append(newline + "]")
     else:
         parts.append(json.dumps(value))
@@ -216,7 +211,7 @@ def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
 def cmd_compositae(args: argparse.Namespace) -> tuple[int, str]:
     f = _build_series(args)
     if args.format == "json":
-        # No name keeps the table: its ints are freed before render_json runs.
+        # The payload's rows are the table's own ints; no string list is built.
         return EXIT_OK, render_json(
             "compositae",
             {"seq": args.seq, "order": f.order},
@@ -248,7 +243,7 @@ def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
         return EXIT_OK, render_json(
             "theorem",
-            {"seq": args.seq, "order": f.order, "n": args.n},
+            {"seq": args.seq, "order": f.order, "n": str(args.n)},
             theorem_to_payload(args.n, value),
         )
     verdict = "integral" if value.denominator == 1 else "NOT integral"
@@ -262,7 +257,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
     report = _witness_for(args.test, series, series_id=args.seq)(args.n)
     code = EXIT_OK if report.passes else EXIT_WITNESSED
     if args.format == "json":
-        inputs = {"test": args.test, "n": args.n}
+        inputs = {"test": args.test, "n": str(args.n)}
         if args.test == GENERIC:
             inputs["seq"] = args.seq
         return code, render_json("witness", inputs, witness_to_payload(report))
@@ -285,7 +280,8 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
         series = _build_series(args, at_least=args.hi)
     result = scan_pseudoprimes(args.test, args.lo, args.hi, threads=args.threads, series=series)
     if args.format == "json":
-        inputs = {"test": args.test, "lo": args.lo, "hi": args.hi, "threads": args.threads}
+        inputs = {"test": args.test, "lo": str(args.lo), "hi": str(args.hi)}
+        inputs["threads"] = args.threads
         if args.test == GENERIC:
             inputs["seq"] = args.seq
         return EXIT_OK, render_json("scan", inputs, scan_to_payload(result))

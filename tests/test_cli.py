@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from logseries import compositae_dp, log_superposition, make_series, scan_pseudoprimes
 from logseries import SequenceSpec, witness_fermat2, witness_lucas, witnesses
 from logseries.cli import (
+    Decimals,
     loggf_from_payload,
     loggf_to_payload,
     main,
@@ -74,6 +75,30 @@ def test_compositae_json_round_trips(capsys):
     assert table_from_payload(doc["result"]) == compositae_dp(f, 6)
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        "fib-gf",
+        "inline:0,3,0,0,-2,0,0,0,0,0,1",  # signed and sparse
+        "inline:" + ",".join(str((-1) ** k * (k % 7 + 1)) for k in range(40)),  # dense
+    ],
+    ids=["fib-gf", "sparse", "dense"],
+)
+def test_compositae_json_text_is_json_dumps_of_the_string_rows(capsys, seq):
+    code, out, err = run(capsys, "compositae", "--seq", seq, "--order", "40", "--format", "json")
+    table = compositae_dp(make_series(SequenceSpec(seq, 40)), 40)
+    rows = [[str(v) for v in row] for row in table.rows]
+    doc = {"command": "compositae", "input": {"seq": seq, "order": 40}}
+    doc["result"] = {"order": 40, "rows": rows}
+    assert (code, out, err) == (0, json.dumps(doc, indent=2) + "\n", "")
+
+
+def test_table_payload_holds_the_tables_own_ints():
+    table = compositae_dp(make_series(SequenceSpec("fib-gf", 30)), 30)
+    rows = table_to_payload(table)["rows"]
+    assert all(rows[i][k] is table.rows[i][k] for i in range(30) for k in range(i + 1))
+
+
 # ---------------------------------------------------------------------------
 # loggf
 
@@ -116,6 +141,7 @@ def test_theorem_ones_n10(capsys):
     doc = json.loads(out)
     n, value, integral = theorem_from_payload(doc["result"])
     assert (n, value, integral) == (10, 1023, True)
+    assert doc["input"]["n"] == doc["result"]["n"] == "10"
 
 
 def test_theorem_zero_series(capsys):
@@ -167,6 +193,11 @@ def test_witness_flags_the_miller_rabin_bound_as_pseudoprime(capsys):
     code, out, _ = run(capsys, "witness", "--test", "fermat2", "--n", n)
     assert code == 0
     assert "passes" in out and "prime=False" in out and "PSEUDOPRIME" in out
+    code, out, _ = run(capsys, "witness", "--test", "fermat2", "--n", n, "--format", "json")
+    doc = json.loads(out)
+    assert doc["input"] == {"test": "fermat2", "n": n}
+    assert doc["result"]["n"] == n  # a string: a double would round it
+    assert witness_from_payload(doc["result"]).n == int(n)
 
 
 def test_witness_central_binomial_4_witnessed(capsys):
@@ -245,6 +276,21 @@ def test_scan_json_round_trips(capsys):
     )
     doc = json.loads(out)
     assert scan_from_payload(doc["result"]) == scan_pseudoprimes("fermat2", 2, 700, threads=2)
+    assert doc["input"] == {"test": "fermat2", "lo": "2", "hi": "700", "threads": 2}
+    assert doc["result"]["pseudoprimes"] == ["341", "561", "645"]
+    assert (doc["result"]["primes_checked"], doc["result"]["composites_checked"]) == (125, 574)
+
+
+def test_scan_json_writes_large_bounds_exactly(capsys):
+    lo, hi = 10**17 + 1, 10**17 + 40  # past 2**53
+    code, out, _ = run(
+        capsys, "scan", "--test", "fermat2", "--lo", str(lo), "--hi", str(hi), "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"] == {"test": "fermat2", "lo": str(lo), "hi": str(hi), "threads": 1}
+    assert (doc["result"]["lo"], doc["result"]["hi"]) == (str(lo), str(hi))
+    assert scan_from_payload(doc["result"]) == scan_pseudoprimes("fermat2", lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -425,3 +471,61 @@ def test_json_codecs_preserve_exact_values():
     assert scan_from_payload(scan_to_payload(scan)) == scan
     n, value, integral = theorem_from_payload(theorem_to_payload(7, Fraction(126, 7)))
     assert (n, value, integral) == (7, 18, True)
+
+
+def test_decoders_read_numbers_or_decimal_strings():
+    scan = scan_pseudoprimes("fermat2", 2, 600)
+    as_numbers = {**scan_to_payload(scan), "lo": 2, "hi": 600, "pseudoprimes": [341, 561]}
+    assert scan_from_payload(as_numbers) == scan
+    report = witness_fermat2(341)
+    assert witness_from_payload({**witness_to_payload(report), "n": 341}) == report
+    assert theorem_from_payload({"n": 7, "value": "18", "integral": True}) == (7, 18, True)
+    f = make_series(SequenceSpec("fib-gf", 9))
+    table = compositae_dp(f, 9)
+    string_rows = {"order": 9, "rows": [[str(v) for v in row] for row in table.rows]}
+    assert table_from_payload(string_rows) == table
+
+
+EXACT = (
+    st.integers()
+    | st.fractions()
+    | st.builds(lambda m, e: m * 10**e, st.integers(), st.integers(4300, 4400))
+)
+
+
+def as_strings(value):
+    """value with each Decimals list replaced by the list of its str()."""
+    if isinstance(value, Decimals):
+        return [str(v) for v in value]
+    if isinstance(value, dict):
+        return {key: as_strings(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_strings(item) for item in value]
+    return value
+
+
+MARKED = st.recursive(
+    st.lists(EXACT, max_size=12).map(Decimals) | JSON_VALUES,
+    lambda inner: st.lists(inner) | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100)
+@given(MARKED)
+@example(Decimals())
+@example(Decimals([-(10**4400), 0, 7, Fraction(-7, 3)]))
+@example([Decimals([1]), {"k": Decimals([Fraction(1, 2)])}])
+def test_render_json_writes_decimals_as_their_strings(marked):
+    # str() of ints past CPython's 4300-digit limit (3.10.7+), as main() allows
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = json.dumps(
+            {"command": "c", "input": {}, "result": {"v": as_strings(marked)}}, indent=2
+        )
+        assert render_json("c", {}, {"v": marked}) == expected
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
