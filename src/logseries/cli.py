@@ -27,8 +27,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .compositae import CompositaeTable, compositae_dp
-from .sequences import CoefficientFileError, SequenceSpec, make_series
-from .series import IntSeries
+from .sequences import SequenceSpec, make_series
+from .series import IntSeries, RatSeries
 from .superposition import LogSuperposition, log_superposition, theorem_sum
 from .witnesses import (
     GENERIC,
@@ -91,8 +91,6 @@ def loggf_to_payload(ls: LogSuperposition) -> dict:
 
 def loggf_from_payload(payload: dict) -> LogSuperposition:
     order = payload["order"]
-    from .series import RatSeries
-
     g = RatSeries(order, {n: Fraction(s) for n, s in enumerate(payload["g"], start=1)})
     return LogSuperposition(
         order=order,
@@ -210,14 +208,11 @@ def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
 
 def cmd_compositae(args: argparse.Namespace) -> tuple[int, str]:
     f = _build_series(args)
-    if args.format == "json":
-        # The payload's rows are the table's own ints; no string list is built.
-        return EXIT_OK, render_json(
-            "compositae",
-            {"seq": args.seq, "order": f.order},
-            table_to_payload(compositae_dp(f, f.order)),
-        )
     table = compositae_dp(f, f.order)
+    if args.format == "json":
+        return EXIT_OK, render_json(
+            "compositae", {"seq": args.seq, "order": f.order}, table_to_payload(table)
+        )
     lines = [f"compositae triangle  seq={args.seq}  order={f.order}"]
     for n in range(1, f.order + 1):
         lines.append(f"n={n}: " + " ".join(map(str, table.row(n))))
@@ -363,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         code, output = _COMMANDS[args.command](args)
-    except (UsageError, CoefficientFileError, ValueError) as exc:
+    except ValueError as exc:  # UsageError and CoefficientFileError among them
         print(f"logseries {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -22,6 +22,10 @@ call scales its weights once to integers over a common denominator D,
 w(k) = W(k)/D, so a row sum is one integer dot product and one Fraction:
 
     sum_k F_delta(n, k) w(k) = (sum_k F_delta(n, k) W(k)) / D.
+
+n*g(n) has one route: log_superposition and theorem_sum both take it as
+n times _row_sum over the weights 1/k of _reciprocal_weights, and every
+value that must be an integer is checked by _integral.
 """
 
 from __future__ import annotations
@@ -45,12 +49,14 @@ class IntegralityError(ArithmeticError):
     """
 
 
-def _require_table(f: IntSeries, order: int, table: CompositaeTable | None) -> CompositaeTable:
-    if table is None:
-        return compositae_dp(f, order)
-    if table.order < order:
-        raise ValueError(f"supplied table order {table.order} < required {order}")
-    return table
+def _integral(what: str, n: int, value: Fraction) -> int:
+    """value as an int; a fractional value raises IntegralityError."""
+    if value.denominator != 1:
+        raise IntegralityError(
+            f"{what} came out fractional at n={n}: {value}; "
+            "this signals a defect in the compositae arithmetic"
+        )
+    return int(value)
 
 
 ScaledWeights = tuple[list[int], int]
@@ -124,13 +130,7 @@ class LogSuperposition(Value):
         return self.h[n - 1]
 
 
-def superpose(
-    r: RatSeries,
-    f: IntSeries,
-    order: int,
-    *,
-    table: CompositaeTable | None = None,
-) -> SuperpositionResult:
+def superpose(r: RatSeries, f: IntSeries, order: int) -> SuperpositionResult:
     """Z = R(F) up to `order` via the compositae of f.
 
     r's constant term passes through additively: z(0) = r(0).
@@ -141,7 +141,7 @@ def superpose(
         raise ValueError(
             f"order {order} exceeds an input order (r: {r.order}, f: {f.order})"
         )
-    tab = _require_table(f, order, table)
+    tab = compositae_dp(f, order)
     weights = _scale_weights([r.coeff(k) for k in range(1, order + 1)])
     coeffs = {n: _row_sum(tab.row(n), weights) for n in range(1, order + 1)}
     z = RatSeries(order, {0: r.coeff(0)} | coeffs)
@@ -152,31 +152,37 @@ def superpose(
 def log_superposition(f: IntSeries, order: int) -> LogSuperposition:
     """G = ln(1/(1-F)) coefficients g(n), their integer scalings, and h(n).
 
-    g is superpose() with r(k) = 1/k, and n*g(n) is then asserted
-    integral; a failure raises IntegralityError and indicates an
-    arithmetic bug, not a property of f.
+    n*g(n) is theorem_sum's value: n times the row sum over the weights
+    1/k, one integer dot product per row of a single compositae table.
+    It must be integral; a failure raises IntegralityError and indicates
+    an arithmetic bug, not a property of f.  g(n) is n*g(n) / n and h(n)
+    is the row sum.
     """
     tab = compositae_dp(f, order)
-    result = superpose(LogSeries.ones(order).to_rat(), f, order, table=tab)
-    for n, ngn in enumerate(result.n_times_z, start=1):
-        if ngn.denominator != 1:
-            raise IntegralityError(
-                f"n*g(n) must be integral but n={n} gave {ngn}; "
-                "this signals a defect in the compositae arithmetic"
-            )
+    weights = _reciprocal_weights(order)
+    ng = tuple(
+        _integral("n*g(n)", n, n * _row_sum(row, weights))
+        for n, row in enumerate(tab.rows, start=1)
+    )
     return LogSuperposition(
         order=order,
-        g=result.z,
-        ng=tuple(int(ngn) for ngn in result.n_times_z),
+        g=RatSeries(order, {n: Fraction(ngn, n) for n, ngn in enumerate(ng, start=1)}),
+        ng=ng,
         h=tuple(sum(row) for row in tab.rows),
     )
 
 
-def _check_n(f: IntSeries, n: int) -> None:
+def _row(f: IntSeries, n: int, table: CompositaeTable | None) -> tuple[int, ...]:
+    """Row n of `table`, or of compositae_dp(f, n) when no table is given."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > f.order:
         raise ValueError(f"n={n} exceeds series order {f.order}")
+    if table is None:
+        return compositae_dp(f, n).row(n)
+    if table.order < n:
+        raise ValueError(f"supplied table order {table.order} < required {n}")
+    return table.row(n)
 
 
 def theorem_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None) -> Fraction:
@@ -185,8 +191,7 @@ def theorem_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None) -
     Integral for every integer series f; returned as a Fraction so the
     caller can check that fact rather than trust it.
     """
-    _check_n(f, n)
-    return n * _row_sum(_require_table(f, n, table).row(n), _reciprocal_weights(n))
+    return n * _row_sum(_row(f, n, table), _reciprocal_weights(n))
 
 
 def corollary_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None) -> Fraction:
@@ -196,8 +201,7 @@ def corollary_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None)
     so the exact rational is returned for the caller to inspect.  n = 1
     gives the empty sum 0.
     """
-    _check_n(f, n)
-    return _row_sum(_require_table(f, n, table).row(n), _reciprocal_weights(n - 1))
+    return _row_sum(_row(f, n, table), _reciprocal_weights(n - 1))
 
 
 def statement21_check(f: IntSeries, a: LogSeries, order: int) -> list[Fraction]:
@@ -209,11 +213,7 @@ def statement21_check(f: IntSeries, a: LogSeries, order: int) -> list[Fraction]:
     """
     values = list(superpose(a.to_rat(), f, order).n_times_z)
     for n, zdot in enumerate(values, start=1):
-        if zdot.denominator != 1:
-            raise IntegralityError(
-                f"derivative superposition value at n={n} is {zdot}, not an integer; "
-                "this would falsify the integrality property"
-            )
+        _integral("derivative superposition value", n, zdot)
     return values
 
 

@@ -32,7 +32,7 @@ import math
 from ._value import Value, set_field
 from .compositae import CompositaeTable, compositae_dp
 from .series import IntSeries
-from .superposition import IntegralityError, theorem_sum
+from .superposition import _integral, theorem_sum
 
 PASSES = "passes"
 COMPOSITE_WITNESSED = "composite-witnessed"
@@ -316,13 +316,9 @@ def _witness_generic(
     """witness_generic, reading row n from `table` when one is given."""
     if n < 2:
         raise ValueError("witness requires n >= 2")
-    if f.order < n:
-        raise ValueError(f"series order {f.order} is below n={n}")
-    ng = theorem_sum(f, n, table=table)
-    if ng.denominator != 1:
-        raise IntegralityError(f"n*g(n) came out fractional at n={n}: {ng}")
+    ng = _integral("n*g(n)", n, theorem_sum(f, n, table=table))
     f1 = f.coeff(1)
-    residue = (int(ng) - pow(f1, n, n)) % n
+    residue = (ng - pow(f1, n, n)) % n
     note = "degenerate: f(1) = 0, so the k = n term vanishes" if f1 == 0 else ""
     return _report(n, f"generic({series_id})", residue, note)
 

@@ -281,6 +281,22 @@ def test_scan_json_round_trips(capsys):
     assert (doc["result"]["primes_checked"], doc["result"]["composites_checked"]) == (125, 574)
 
 
+def test_scan_generic_json_names_its_series_and_matches_fermat2(capsys):
+    code, out, _ = run(
+        capsys, "scan", "--test", "generic", "--seq", "ones", "--hi", "50", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"] == {"test": "generic", "lo": "2", "hi": "50", "threads": 1, "seq": "ones"}
+    fermat2 = scan_pseudoprimes("fermat2", 2, 50)
+    result = scan_from_payload(doc["result"])
+    assert result.pseudoprimes == fermat2.pseudoprimes
+    assert (result.primes_checked, result.composites_checked) == (
+        fermat2.primes_checked,
+        fermat2.composites_checked,
+    )
+
+
 def test_scan_json_writes_large_bounds_exactly(capsys):
     lo, hi = 10**17 + 1, 10**17 + 40  # past 2**53
     code, out, _ = run(

@@ -18,12 +18,16 @@ from logseries import (
     LogSeries,
     RatSeries,
     compositae_bruteforce,
+    compositae_dp,
     corollary_sum,
     log_superposition,
+    scan_pseudoprimes,
     statement21_check,
     statement22_check,
     superpose,
+    superposition,
     theorem_sum,
+    witness_generic,
 )
 from logseries.superposition import _reciprocal_weights, _row_sum, _scale_weights
 from series_oracles import (
@@ -350,3 +354,35 @@ def test_derivative_identity_gives_integer_route_to_ng():
 
 def test_integrality_error_is_arithmetic_error():
     assert issubclass(IntegralityError, ArithmeticError)
+
+
+def test_log_superposition_raises_on_a_fractional_ng(monkeypatch):
+    # weights 1/2 in place of 1/k: n*g(1) = 1/2 for f = x
+    monkeypatch.setattr(superposition, "_reciprocal_weights", lambda n: ([1] * n, 2))
+    with pytest.raises(IntegralityError, match=r"n\*g\(n\) came out fractional at n=1: 1/2"):
+        log_superposition(IntSeries(3, {1: 1}), 3)
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: scan_pseudoprimes("fermat2", 2, 10, threads=0), "threads must be >= 1"),
+        (
+            lambda: theorem_sum(ones(5), 5, table=compositae_dp(ones(5), 4)),
+            "supplied table order 4 < required 5",
+        ),
+        (lambda: witness_generic(ones(5), 1), "witness requires n >= 2"),
+        (lambda: compositae_dp(ones(5), 0), "order must be a positive integer"),
+        (
+            lambda: statement22_check(ones(5), LogSeries.ones(5), 0),
+            "n must be a positive integer",
+        ),
+    ],
+)
+def test_invalid_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
