@@ -29,7 +29,6 @@ from .series import IntSeries, LogSeries, RatSeries
 from .superposition import (
     IntegralityError,
     LogSuperposition,
-    SuperpositionResult,
     corollary_sum,
     log_superposition,
     statement21_check,
@@ -76,7 +75,6 @@ __all__ = [
     "RatSeries",
     "ScanResult",
     "SequenceSpec",
-    "SuperpositionResult",
     "WitnessReport",
     "compositae_bruteforce",
     "compositae_dp",

@@ -16,16 +16,17 @@ integral ones ever come out non-integral.
 
 Every sum here is one weighted compositae row sum
 sum_k F_delta(n, k) w(k), computed by the single kernel _row_sum: w(k) is
-r(k) for z(n), 1/k for g(n) and the theorem sum n*g(n), and the weight
-list stops at k = n - 1 for the sums that drop the k = n term.  Each
-call scales its weights once to integers over a common denominator D,
-w(k) = W(k)/D, so a row sum is one integer dot product and one Fraction:
+r(k) for z(n) and a(k)/k for every log sum, with a = 1 for g(n), and the
+weight list stops at k = n - 1 for the sums that drop the k = n term.
+Each call scales its weights once to integers over a common denominator
+D, w(k) = W(k)/D, so a row sum is one integer dot product and one Fraction:
 
     sum_k F_delta(n, k) w(k) = (sum_k F_delta(n, k) W(k)) / D.
 
-n*g(n) has one route: log_superposition and theorem_sum both take it as
-n times _row_sum over the weights 1/k of _reciprocal_weights, and every
-value that must be an integer is checked by _integral.
+_reciprocal_weights builds the weights a(k)/k without Fractions.
+log_superposition (n*g(n)) and statement21_check take n times the row
+sum through _n_times_row_sums, and every value that must be an integer
+is checked by _integral.
 """
 
 from __future__ import annotations
@@ -68,36 +69,29 @@ def _scale_weights(weights: Sequence[Fraction]) -> ScaledWeights:
     return [w.numerator * (den // w.denominator) for w in weights], den
 
 
-def _reciprocal_weights(n: int) -> ScaledWeights:
-    """_scale_weights of the weights 1/k for k = 1..n, built without Fractions."""
+def _reciprocal_weights(n: int, a: LogSeries | None = None) -> ScaledWeights:
+    """The weights a(k)/k for k = 1..n over den = lcm(1..n), built without Fractions.
+
+    Without `a` the weights are 1/k, and the result equals _scale_weights
+    of them.  With `a` the denominator is not reduced, which leaves every
+    row sum's value unchanged.
+    """
     den = math.lcm(*range(1, n + 1))
-    return [den // k for k in range(1, n + 1)], den
+    if a is None:
+        return [den // k for k in range(1, n + 1)], den
+    return [a.coeff_a(k) * (den // k) for k in range(1, n + 1)], den
 
 
 def _row_sum(row: Sequence[int], scaled: ScaledWeights) -> Fraction:
     """Exact sum of row[k-1] * w(k) over k = 1..min(len(row), len(ints)).
 
-    `scaled` is (ints, den) from _scale_weights, with w(k) = ints[k-1] / den,
-    so the terms add as integers and one Fraction is built per row.
-    Fewer weights than row entries drop the trailing terms.
+    `scaled` is (ints, den) from _scale_weights or _reciprocal_weights,
+    with w(k) = ints[k-1] / den, so the terms add as integers and one
+    Fraction is built per row.  Fewer weights than row entries drop the
+    trailing terms.
     """
     ints, den = scaled
     return Fraction(sum(map(mul, row, ints)), den)
-
-
-class SuperpositionResult(Value):
-    """Coefficients of Z = R(F) plus the scaled sequence n*z(n).
-
-    n_times_z[i] holds (i+1) * z(i+1).
-    """
-
-    __slots__ = ("z", "n_times_z")
-    z: RatSeries
-    n_times_z: tuple[Fraction, ...]
-
-    def __init__(self, z: RatSeries, n_times_z: tuple[Fraction, ...]) -> None:
-        set_field(self, "z", z)
-        set_field(self, "n_times_z", n_times_z)
 
 
 class LogSuperposition(Value):
@@ -130,7 +124,7 @@ class LogSuperposition(Value):
         return self.h[n - 1]
 
 
-def superpose(r: RatSeries, f: IntSeries, order: int) -> SuperpositionResult:
+def superpose(r: RatSeries, f: IntSeries, order: int) -> RatSeries:
     """Z = R(F) up to `order` via the compositae of f.
 
     r's constant term passes through additively: z(0) = r(0).
@@ -144,9 +138,15 @@ def superpose(r: RatSeries, f: IntSeries, order: int) -> SuperpositionResult:
     tab = compositae_dp(f, order)
     weights = _scale_weights([r.coeff(k) for k in range(1, order + 1)])
     coeffs = {n: _row_sum(tab.row(n), weights) for n in range(1, order + 1)}
-    z = RatSeries(order, {0: r.coeff(0)} | coeffs)
-    n_times_z = tuple(n * z.coeff(n) for n in range(1, order + 1))
-    return SuperpositionResult(z=z, n_times_z=n_times_z)
+    return RatSeries(order, {0: r.coeff(0)} | coeffs)
+
+
+def _n_times_row_sums(what: str, tab: CompositaeTable, weights: ScaledWeights) -> tuple[int, ...]:
+    """n * _row_sum(row n, weights) for every row n of `tab`, each checked integral."""
+    return tuple(
+        _integral(what, n, n * _row_sum(row, weights))
+        for n, row in enumerate(tab.rows, start=1)
+    )
 
 
 def log_superposition(f: IntSeries, order: int) -> LogSuperposition:
@@ -159,11 +159,7 @@ def log_superposition(f: IntSeries, order: int) -> LogSuperposition:
     is the row sum.
     """
     tab = compositae_dp(f, order)
-    weights = _reciprocal_weights(order)
-    ng = tuple(
-        _integral("n*g(n)", n, n * _row_sum(row, weights))
-        for n, row in enumerate(tab.rows, start=1)
-    )
+    ng = _n_times_row_sums("n*g(n)", tab, _reciprocal_weights(order))
     return LogSuperposition(
         order=order,
         g=RatSeries(order, {n: Fraction(ngn, n) for n, ngn in enumerate(ng, start=1)}),
@@ -204,17 +200,20 @@ def corollary_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None)
     return _row_sum(_row(f, n, table), _reciprocal_weights(n - 1))
 
 
-def statement21_check(f: IntSeries, a: LogSeries, order: int) -> list[Fraction]:
-    """Derivative-superposition values zdot(n) = sum_k (n/k) F_delta(n,k) a(k).
+def statement21_check(f: IntSeries, a: LogSeries, order: int) -> list[int]:
+    """Derivative-superposition values zdot(n) = sum_k (n/k) F_delta(n,k) a(k), n = 1..order.
 
-    zdot(n) is n*z(n) for Z = superpose(A, F) with A = sum a(k)/k x^k.
-    Every entry must be integral for integer f and a; a non-integral
-    entry raises IntegralityError since it would falsify that property.
+    zdot(n) is n*z(n) for Z = superpose(A, F) with A = sum a(k)/k x^k,
+    and n*g(n) when a = 1; it is computed as log_superposition computes
+    n*g(n), over the weights a(k)/k.  Every value must be integral for
+    integer f and a; a fractional one raises IntegralityError, since it
+    would falsify that property.
     """
-    values = list(superpose(a.to_rat(), f, order).n_times_z)
-    for n, zdot in enumerate(values, start=1):
-        _integral("derivative superposition value", n, zdot)
-    return values
+    if f.order < order or a.order < order:
+        raise ValueError(f"order {order} exceeds an input order (f: {f.order}, a: {a.order})")
+    tab = compositae_dp(f, order)
+    weights = _reciprocal_weights(order, a)
+    return list(_n_times_row_sums("derivative superposition value", tab, weights))
 
 
 def statement22_check(f: IntSeries, a: LogSeries, n: int) -> Fraction:
@@ -223,9 +222,6 @@ def statement22_check(f: IntSeries, a: LogSeries, n: int) -> Fraction:
     Integral whenever n is prime; returned exactly with no primality
     requirement so composite n can be probed.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if f.order < n or a.order < n - 1:
+    if a.order < n - 1:
         raise ValueError(f"n={n} exceeds an input order (f: {f.order}, a: {a.order})")
-    weights = _scale_weights([Fraction(a.coeff_a(k), k) for k in range(1, n)])
-    return _row_sum(compositae_dp(f, n).row(n), weights)
+    return _row_sum(_row(f, n, None), _reciprocal_weights(n - 1, a))

@@ -63,6 +63,17 @@ def int_series(draw, min_order=1, max_order=10, lo=-9, hi=9):
     return IntSeries(order, coeffs)
 
 
+@st.composite
+def series_and_log_weights(draw):
+    """(f, a) of one order <= 9: signed coefficients, f(1) = 0 half the time, a with zeros."""
+    order = draw(st.integers(min_value=1, max_value=9))
+    f_vals = draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order))
+    if draw(st.booleans()):
+        f_vals[0] = 0
+    a_vals = draw(st.lists(st.just(0) | st.integers(-50, 50), min_size=order, max_size=order))
+    return IntSeries.from_values(f_vals), LogSeries(order, dict(enumerate(a_vals, start=1)))
+
+
 # ---------------------------------------------------------------------------
 # _row_sum, the kernel behind every weighted row sum
 
@@ -93,8 +104,13 @@ def test_row_sum_edge_cases():
 
 
 def test_reciprocal_weights_scale_one_over_k():
+    a = LogSeries(39, {k: (-1) ** k * (k % 4) for k in range(1, 40)})  # signed, with zeros
     for n in range(0, 40):
         assert _reciprocal_weights(n) == _scale_weights([Fraction(1, k) for k in range(1, n + 1)])
+        ints, den = _reciprocal_weights(n, a)
+        assert [Fraction(w, den) for w in ints] == [
+            Fraction(a.coeff_a(k), k) for k in range(1, n + 1)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -104,27 +120,25 @@ def test_reciprocal_weights_scale_one_over_k():
 def test_superpose_geometric():
     # R = 1/(1-y) composed with F = x gives 1/(1-x)
     r = RatSeries(6, {k: Fraction(1) for k in range(7)})
-    result = superpose(r, IntSeries(6, {1: 1}), 6)
-    assert result.z == RatSeries(6, {n: Fraction(1) for n in range(7)})
-    assert result.n_times_z == tuple(Fraction(n) for n in range(1, 7))
+    z = superpose(r, IntSeries(6, {1: 1}), 6)
+    assert z == RatSeries(6, {n: Fraction(1) for n in range(7)})
 
 
 def test_superpose_log_series_of_ones():
     r = LogSeries.ones(3).to_rat()
-    result = superpose(r, ones(3), 3)
-    assert result.z.coeff(3) == Fraction(7, 3)
-    assert result.n_times_z[2] == 7  # 2^3 - 1
+    z = superpose(r, ones(3), 3)
+    assert z.coeff(3) == Fraction(7, 3)  # (2^3 - 1) / 3
 
 
 def test_superpose_zero_outer_series():
-    result = superpose(RatSeries(5, {}), ones(5), 5)
-    assert result.z == RatSeries(5, {})
+    z = superpose(RatSeries(5, {}), ones(5), 5)
+    assert z == RatSeries(5, {})
 
 
 def test_superpose_constant_term_passthrough():
     r = RatSeries(3, {0: Fraction(9), 1: Fraction(1)})
-    result = superpose(r, IntSeries(3, {1: 1}), 3)
-    assert result.z.coeff(0) == 9
+    z = superpose(r, IntSeries(3, {1: 1}), 3)
+    assert z.coeff(0) == 9
 
 
 def test_superpose_order_precondition():
@@ -144,7 +158,7 @@ def test_superpose_matches_horner_composition(f, data):
         )
     )
     r = RatSeries(order, r_coeffs)
-    via_compositae = superpose(r, f, order).z
+    via_compositae = superpose(r, f, order)
     via_horner = compose_truncated(r, f, order)
     assert via_compositae == via_horner
 
@@ -300,6 +314,27 @@ def test_statement21_always_integral(f, data):
     assert all(v.denominator == 1 for v in values)
 
 
+@settings(max_examples=60)
+@given(series_and_log_weights())
+def test_statement21_is_n_times_the_superposed_log_series(fa):
+    # oracle: Z = superpose(A, f) with A = sum a(k)/k x^k, through Fraction weights
+    f, a = fa
+    z = superpose(a.to_rat(), f, f.order)
+    assert statement21_check(f, a, f.order) == [n * z.coeff(n) for n in range(1, f.order + 1)]
+
+
+@settings(max_examples=60)
+@given(series_and_log_weights(), st.data())
+def test_statement22_matches_bruteforce_truncated_sum(fa, data):
+    f, a = fa
+    n = data.draw(st.integers(min_value=1, max_value=f.order))
+    oracle = sum(
+        (Fraction(a.coeff_a(k), k) * compositae_bruteforce(f, n, k) for k in range(1, n)),
+        Fraction(0),
+    )
+    assert statement22_check(f, a, n) == oracle
+
+
 def test_statement22_with_unit_sequence_is_corollary_sum():
     f = IntSeries.from_values([3, 1, -2, 0, 4, 1, 2])
     a = LogSeries.ones(7)
@@ -380,6 +415,18 @@ def test_log_superposition_raises_on_a_fractional_ng(monkeypatch):
         (
             lambda: statement22_check(ones(5), LogSeries.ones(5), 0),
             "n must be a positive integer",
+        ),
+        (
+            lambda: statement21_check(ones(5), LogSeries.ones(4), 5),
+            r"order 5 exceeds an input order \(f: 5, a: 4\)",
+        ),
+        (
+            lambda: statement21_check(ones(4), LogSeries.ones(5), 5),
+            r"order 5 exceeds an input order \(f: 4, a: 5\)",
+        ),
+        (
+            lambda: statement21_check(ones(5), LogSeries.ones(5), 0),
+            "^order must be a positive integer$",
         ),
     ],
 )

@@ -20,7 +20,6 @@ from logseries import (
     RatSeries,
     ScanResult,
     SequenceSpec,
-    SuperpositionResult,
     WitnessReport,
 )
 
@@ -85,12 +84,6 @@ CASES = [
             ({"kind": "ones", "order": 0}, ValueError, "sequence order must be a positive integer"),
             ({"kind": "squares", "order": 5}, ValueError, "unknown sequence kind 'squares'"),
         ],
-    ),
-    (
-        SuperpositionResult,
-        {"z": G3, "n_times_z": (Fraction(1), Fraction(3), Fraction(7))},
-        False,
-        [],
     ),
     (
         LogSuperposition,
