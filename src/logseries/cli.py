@@ -2,7 +2,12 @@
 
 Output contract:
   - text (default) or JSON via --format; JSON is a single object
-    {"command", "input", "result"} printed to stdout.
+    {"command", "input", "result"} written to stdout.
+  - Output is written as it is rendered, in pieces (a line, a JSON key,
+    a triangle row), never held whole.  A command first validates its
+    input and computes its result, so every usage error is raised before
+    the first byte is written; a failure after the first write leaves a
+    truncated stdout and exits 3.
   - Mathematical values (triangle entries, g/ng/h, sums, residues) and
     the integers n, lo, hi and the pseudoprimes are rendered as decimal
     strings in JSON, never floats, so exactness survives any JSON parser
@@ -12,7 +17,7 @@ Output contract:
     2 usage or input error, 3 internal error (any other exception, such
     as an exact value that must be an integer coming out fractional, a
     MemoryError, or a stdout that cannot be written, e.g. a closed
-    pipe).  Diagnostics go to stderr, one line each.
+    pipe or a closed stream).  Diagnostics go to stderr, one line each.
   - Exact values have no digit limit: main() lifts CPython's int/str
     conversion limit (4300 digits) for the length of the call.
 """
@@ -23,7 +28,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .compositae import CompositaeTable, compositae_dp
@@ -153,20 +160,22 @@ def theorem_from_payload(payload: dict) -> tuple[int, Fraction, bool]:
     return int(payload["n"]), Fraction(payload["value"]), payload["integral"]
 
 
-def render_json(command: str, inputs: dict, result: dict) -> str:
-    """json.dumps({"command", "input", "result"}, indent=2), byte for byte,
-    with each Decimals list written as the list of its decimal strings.
+Write = Callable[[str], object]
 
-    The output is built in one parts list and joined once; a Decimals list
-    (a triangle row, say) is written by a single join of its str() values.
+
+def render_json(write: Write, command: str, inputs: dict, result: dict) -> None:
+    """Write json.dumps({"command", "input", "result"}, indent=2), byte for
+    byte, with each Decimals list written as the list of its decimal strings.
+
+    The text goes to `write` in pieces as it is rendered and is never held
+    whole: one piece per key, separator and scalar, and one per Decimals
+    list (a triangle row, say), made by a single join of its str() values.
     """
-    parts: list[str] = []
-    _render(parts, {"command": command, "input": inputs, "result": result}, "\n")
-    return "".join(parts)
+    _render(write, {"command": command, "input": inputs, "result": result}, "\n")
 
 
-def _render(parts: list[str], value, newline: str) -> None:
-    """Append value as json.dumps(indent=2) writes it at the depth of `newline`.
+def _render(write: Write, value, newline: str) -> None:
+    """Write value as json.dumps(indent=2) writes it at the depth of `newline`.
 
     `newline` is "\n" followed by the indent of the line holding value.
     Dict keys must be str, as they are in every payload.
@@ -175,26 +184,48 @@ def _render(parts: list[str], value, newline: str) -> None:
     if isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in value.items():
-            parts.append(sep + encode_basestring_ascii(key) + ": ")
-            _render(parts, item, inner)
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _render(write, item, inner)
             sep = "," + inner
-        parts.append(newline + "}")
+        write(newline + "}")
     elif isinstance(value, Decimals) and value:
         text = ('",' + inner + '"').join(map(str, value))
-        parts.append("[" + inner + '"' + text + '"' + newline + "]")
+        write("[" + inner + '"' + text + '"' + newline + "]")
     elif isinstance(value, (list, tuple)) and value:
         sep = "[" + inner
         for item in value:
-            parts.append(sep)
-            _render(parts, item, inner)
+            write(sep)
+            _render(write, item, inner)
             sep = "," + inner
-        parts.append(newline + "]")
+        write(newline + "]")
     else:
-        parts.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each returns (exit_code, stdout_text).
+# Commands.  Each validates its input and computes its result, then returns
+# (exit_code, emit); emit(write) writes the output, ending in a newline.
+
+Emit = Callable[[Write], None]
+
+
+def _json(command: str, inputs: dict, result: dict) -> Emit:
+    def emit(write: Write) -> None:
+        render_json(write, command, inputs, result)
+        write("\n")
+
+    return emit
+
+
+def _lines(lines: Iterable[str]) -> Emit:
+    """Write each line, with its newline, as `lines` yields it."""
+
+    def emit(write: Write) -> None:
+        for line in lines:
+            write(line + "\n")
+
+    return emit
+
 
 def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
     """The --seq series at --order (default max(64, at_least)), which must reach at_least."""
@@ -206,46 +237,44 @@ def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
     return make_series(SequenceSpec(kind=args.seq, order=order))
 
 
-def cmd_compositae(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_compositae(args: argparse.Namespace) -> tuple[int, Emit]:
     f = _build_series(args)
     table = compositae_dp(f, f.order)
     if args.format == "json":
-        return EXIT_OK, render_json(
+        return EXIT_OK, _json(
             "compositae", {"seq": args.seq, "order": f.order}, table_to_payload(table)
         )
-    lines = [f"compositae triangle  seq={args.seq}  order={f.order}"]
-    for n in range(1, f.order + 1):
-        lines.append(f"n={n}: " + " ".join(map(str, table.row(n))))
-    return EXIT_OK, "\n".join(lines)
+    head = [f"compositae triangle  seq={args.seq}  order={f.order}"]
+    rows = (f"n={n}: " + " ".join(map(str, table.row(n))) for n in range(1, f.order + 1))
+    return EXIT_OK, _lines(chain(head, rows))
 
 
-def cmd_loggf(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_loggf(args: argparse.Namespace) -> tuple[int, Emit]:
     f = _build_series(args)
     ls = log_superposition(f, f.order)
     if args.format == "json":
-        return EXIT_OK, render_json(
+        return EXIT_OK, _json(
             "loggf", {"seq": args.seq, "order": f.order}, loggf_to_payload(ls)
         )
-    lines = [f"log-superposition  seq={args.seq}  order={f.order}", "n\tng(n)\tg(n)\th(n)"]
-    for n in range(1, f.order + 1):
-        lines.append(f"{n}\t{ls.ng_at(n)}\t{ls.g.coeff(n)}\t{ls.h_at(n)}")
-    return EXIT_OK, "\n".join(lines)
+    head = [f"log-superposition  seq={args.seq}  order={f.order}", "n\tng(n)\tg(n)\th(n)"]
+    rows = (f"{n}\t{ls.ng_at(n)}\t{ls.g.coeff(n)}\t{ls.h_at(n)}" for n in range(1, f.order + 1))
+    return EXIT_OK, _lines(chain(head, rows))
 
 
-def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_theorem(args: argparse.Namespace) -> tuple[int, Emit]:
     f = _build_series(args, at_least=args.n)
     value = theorem_sum(f, args.n)
     if args.format == "json":
-        return EXIT_OK, render_json(
+        return EXIT_OK, _json(
             "theorem",
             {"seq": args.seq, "order": f.order, "n": str(args.n)},
             theorem_to_payload(args.n, value),
         )
     verdict = "integral" if value.denominator == 1 else "NOT integral"
-    return EXIT_OK, f"theorem sum  seq={args.seq}  n={args.n}: {value} ({verdict})"
+    return EXIT_OK, _lines([f"theorem sum  seq={args.seq}  n={args.n}: {value} ({verdict})"])
 
 
-def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_witness(args: argparse.Namespace) -> tuple[int, Emit]:
     series = None
     if args.test == GENERIC:
         series = _build_series(args, at_least=args.n)
@@ -255,7 +284,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
         inputs = {"test": args.test, "n": str(args.n)}
         if args.test == GENERIC:
             inputs["seq"] = args.seq
-        return code, render_json("witness", inputs, witness_to_payload(report))
+        return code, _json("witness", inputs, witness_to_payload(report))
     flags = []
     if report.is_pseudoprime:
         flags.append("PSEUDOPRIME")
@@ -266,10 +295,10 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
         f"witness {report.test}  n={report.n}: {report.verdict} "
         f"(residue {report.residue}, prime={report.is_prime_actual}){suffix}"
     )
-    return code, text
+    return code, _lines([text])
 
 
-def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_scan(args: argparse.Namespace) -> tuple[int, Emit]:
     series = None
     if args.test == GENERIC:
         series = _build_series(args, at_least=args.hi)
@@ -279,14 +308,14 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
         inputs["threads"] = args.threads
         if args.test == GENERIC:
             inputs["seq"] = args.seq
-        return EXIT_OK, render_json("scan", inputs, scan_to_payload(result))
+        return EXIT_OK, _json("scan", inputs, scan_to_payload(result))
     lines = [
         f"scan {result.test}  range=[{result.lo}, {result.hi}]  "
         f"primes={result.primes_checked}  composites={result.composites_checked}",
         f"pseudoprimes ({len(result.pseudoprimes)}): "
         + (" ".join(str(n) for n in result.pseudoprimes) or "(none)"),
     ]
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, _lines(lines)
 
 
 _COMMANDS = {
@@ -356,16 +385,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    # Phase 1: validate and compute.  Nothing has been written yet.
     try:
-        code, output = _COMMANDS[args.command](args)
+        code, emit = _COMMANDS[args.command](args)
     except ValueError as exc:  # UsageError and CoefficientFileError among them
         print(f"logseries {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
         return _internal_error(args.command, exc)
+    # Phase 2: write.  A failure here (the reader has gone, the stream is
+    # closed) leaves what was written and is never a usage error.
     try:
-        print(output, flush=True)
-    except OSError as exc:  # the reader has gone (a closed pipe, say)
+        emit(sys.stdout.write)
+        sys.stdout.flush()
+    except Exception as exc:
         return _internal_error(args.command, exc)
     return code
 

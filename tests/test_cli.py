@@ -394,6 +394,78 @@ def test_unwritable_stdout_in_process_exits_3_and_keeps_fd_1(capsys, monkeypatch
     assert os.path.samestat(os.fstat(1), fd_1)
 
 
+def test_closed_stdout_stream_in_process_exits_3_not_2(capsys, monkeypatch):
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    code = main(["witness", "--test", "fermat2", "--n", "341"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("logseries witness: internal error: ValueError: I/O operation on closed")
+
+
+class Recording(io.TextIOBase):
+    """A stdout that keeps each write as it comes; write number `fail_at` raises."""
+
+    def __init__(self, fail_at=None):
+        self.writes = []
+        self.fail_at = fail_at
+
+    def write(self, text):
+        if len(self.writes) + 1 == self.fail_at:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes.append(text)
+        return len(text)
+
+
+STREAMED = ["compositae", "--seq", "fib-gf", "--order", "200"]
+
+
+def streamed_output(fmt):
+    """The full output of STREAMED, built from the table, and its longest row's text.
+
+    A JSON row is written with the indentation of its items and its
+    brackets; a text row as its line and newline.
+    """
+    table = compositae_dp(make_series(SequenceSpec("fib-gf", 200)), 200)
+    rows = [[str(v) for v in row] for row in table.rows]
+    if fmt == "json":
+        doc = {"command": "compositae", "input": {"seq": "fib-gf", "order": 200}}
+        doc["result"] = {"order": 200, "rows": rows}
+        longest = max(len(json.dumps(row, indent=2)) + 6 * (len(row) + 1) for row in rows)
+        return json.dumps(doc, indent=2) + "\n", longest
+    lines = ["compositae triangle  seq=fib-gf  order=200"]
+    lines += [f"n={n}: " + " ".join(row) for n, row in enumerate(rows, 1)]
+    return "".join(line + "\n" for line in lines), max(len(line) + 1 for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_compositae_output_is_written_row_by_row(capsys, monkeypatch, fmt):
+    expected, longest = streamed_output(fmt)
+    stdout = Recording()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(STREAMED + ["--format", fmt])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert len(stdout.writes) > 200
+    assert max(map(len, stdout.writes)) <= longest
+    assert "".join(stdout.writes) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_write_failing_midway_exits_3_with_a_prefix_on_stdout(capsys, monkeypatch, fmt):
+    expected, _ = streamed_output(fmt)
+    stdout = Recording(fail_at=57)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(STREAMED + ["--format", fmt])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "logseries compositae: internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+    out = "".join(stdout.writes)
+    assert len(stdout.writes) == 56
+    assert 0 < len(out) < len(expected) and expected.startswith(out)
+
+
 def test_unknown_seq_kind_is_input_error(capsys):
     code, _, err = run(capsys, "loggf", "--seq", "nope", "--order", "4")
     assert code == 2
@@ -471,7 +543,9 @@ JSON_VALUES = st.recursive(
 @example("c", {}, {"rows": [["1", "", "2"], [""]]})
 def test_render_json_matches_json_dumps(command, inputs, result):
     expected = json.dumps({"command": command, "input": inputs, "result": result}, indent=2)
-    assert render_json(command, inputs, result) == expected
+    out = io.StringIO()
+    render_json(out.write, command, inputs, result)
+    assert out.getvalue() == expected
 
 
 def test_json_codecs_preserve_exact_values():
@@ -541,7 +615,9 @@ def test_render_json_writes_decimals_as_their_strings(marked):
         expected = json.dumps(
             {"command": "c", "input": {}, "result": {"v": as_strings(marked)}}, indent=2
         )
-        assert render_json("c", {}, {"v": marked}) == expected
+        out = io.StringIO()
+        render_json(out.write, "c", {}, {"v": marked})
+        assert out.getvalue() == expected
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -7,12 +7,15 @@ columns as powers of F.  The jobs here have the shape of bench/jobs.py
 but are drawn by hypothesis over every command, the built-in series and
 signed inline ones (f(1) = 0 included), at sizes small enough for a
 unit test: orders <= 60, scan windows <= 500 wide, some of them at
-10**12, and central-binomial n <= 5000.
+10**12, and central-binomial n <= 5000.  Each compositae and loggf job
+runs a second time with --format text, which must give the same exit
+code and, row for row, the decimal strings of the checked JSON.
 """
 
 import contextlib
 import importlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -104,11 +107,32 @@ def jobs(draw):
     return job
 
 
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def rows_as_text(command, result):
+    """The row lines --format text writes for a checked JSON result."""
+    if command == "compositae":
+        return [f"n={n}: " + " ".join(row) for n, row in enumerate(result["rows"], 1)]
+    columns = zip(result["ng"], result["g"], result["h"])
+    return ["\t".join((str(n), *values)) for n, values in enumerate(columns, 1)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(jobs())
 def test_cli_output_passes_the_benchmark_oracles(oracles, job):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(job["argv"])
-    reason = oracles.Checker().check(job, code, buf.getvalue().encode())
+    code, out = run(job["argv"])
+    reason = oracles.Checker().check(job, code, out.encode())
     assert reason is None, f"{job['argv']}: {reason}"
+    if job["id"] in ("compositae", "loggf"):
+        # The text format carries the same numbers, one row per line after its header.
+        text_code, text = run(job["argv"][:-1] + ["text"])
+        assert text_code == code
+        if code == 0:
+            head = 1 if job["id"] == "compositae" else 2
+            result = json.loads(out)["result"]
+            assert text.splitlines()[head:] == rows_as_text(job["id"], result)
