@@ -14,7 +14,12 @@ for any n:
     x + x^2:                residue of L_n - 1            (lucas)
     shifted Catalan:        residue of C(2n-1, n-1) - 1   (central-binomial)
 
-Ground-truth primality is trial division below 10^6 and fixed-base
+The central-binomial residue is computed one prime power q^a || n at a
+time (Lucas, Jacobsthal, Kummer) and joined by the Chinese remainder
+theorem; see witness_central_binomial.
+
+Ground-truth primality is one gcd with the product of the primes below
+1000, which is exact trial division below 10^6, then fixed-base
 Miller-Rabin above.  The 13 prime bases 2..41 are proven deterministic
 for n < 3317044064679887385961981 (Sorenson and Webster, 2017), so
 witness verdicts are checked against an independent fact there.  From
@@ -43,34 +48,56 @@ CENTRAL_BINOMIAL = "central-binomial"
 GENERIC = "generic"
 NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 
-_TRIAL_DIVISION_BOUND = 10**6
+
+def _prime_flags(size: int) -> bytearray:
+    """flags[i] == 1 iff i is prime, for 0 <= i < size (size even, >= 4)."""
+    # The b"\0\1" pattern starts with every even index cleared, so no p = 2
+    # pass (a size/2-byte zero block) is needed and odd p clears odd multiples only.
+    flags = bytearray(b"\0\1") * (size // 2)
+    flags[1:3] = b"\0\1"
+    for p in range(3, math.isqrt(size - 1) + 1, 2):
+        if flags[p]:
+            flags[p * p :: 2 * p] = bytes(len(range(p * p, size, 2 * p)))
+    return flags
+
+
+_SMALL_PRIME_BOUND = 1000
+_SMALL_PRIME_FLAGS = _prime_flags(_SMALL_PRIME_BOUND)
+_SMALL_PRIMES = tuple(itertools.compress(range(_SMALL_PRIME_BOUND), _SMALL_PRIME_FLAGS))
+# gcd(n, _SMALL_PRIMES_PRODUCT) == 1 iff n has no prime factor below 1000, so
+# below 1000^2 it is exact trial division, and above it a cheap prefilter.
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
+_TRIAL_DIVISION_BOUND = _SMALL_PRIME_BOUND**2
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Below this, the bases above decide primality; at or above it a strong Lucas
 # test runs too (Baillie-PSW), and a True is probable.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
-# witness_central_binomial sieves [0, 2n-1] with one byte per integer, so n
-# is capped to keep that buffer at 200 MB.  At the cap the process peaks at
-# about 245 MB (ru_maxrss, CPython 3.11): the sieve, the n/3-byte block that
-# clears the odd multiples of 3, and the interpreter.
+# witness_central_binomial falls back to a sieve of [0, 2n-1], one byte per
+# integer, when 4 or 9 divides n and the binomial has too few factors of 2
+# or 3 (powers of 2 and of 3 always do), so n is capped to keep that buffer
+# at 200 MB.  At n = 99999744 = 2^13 * 12207, the largest such n below the
+# cap, the process peaks at about 244 MB (ru_maxrss, CPython 3.11): the
+# sieve, the n/3-byte block that clears the odd multiples of 3, and the
+# interpreter.
 CENTRAL_BINOMIAL_MAX_N = 10**8
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division, then fixed-base Miller-Rabin.
+    """Primality by trial division below 10^6, then fixed-base Miller-Rabin.
 
+    The trial division is one gcd with the product of the primes below
+    1000: a composite below 10^6 has such a factor, and above 10^6 the
+    same gcd removes most composites before Miller-Rabin runs.
     Deterministic for n < 3317044064679887385961981.  From there on a
     strong Lucas test follows (Baillie-PSW), and a True means only
     "probable prime"; a False is always a proof of compositeness.
     """
-    if n < 2:
+    if n < _SMALL_PRIME_BOUND:
+        return n >= 2 and _SMALL_PRIME_FLAGS[n] == 1
+    if math.gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
         return False
     if n < _TRIAL_DIVISION_BOUND:
-        if n % 2 == 0:
-            return n == 2
-        for d in range(3, math.isqrt(n) + 1, 2):
-            if n % d == 0:
-                return False
         return True
     if n < _MR_DETERMINISTIC_BOUND:
         return _miller_rabin(n)
@@ -78,16 +105,13 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    if n % 2 == 0:
-        return False
+    """Strong probable-prime test of odd n > 41 to every base in _MR_BASES."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
     for a in _MR_BASES:
-        if a % n == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -260,38 +284,107 @@ def witness_lucas(n: int) -> WitnessReport:
 
 
 def witness_central_binomial(n: int) -> WitnessReport:
-    """Residue of C(2n-1, n-1) - 1 mod n, from the binomial's factorization.
+    """Residue of C(2n-1, n-1) - 1 mod n, one prime power of n at a time.
 
-    C(2n-1, n-1) is the product of p^e_p over the primes p <= 2n-1, with
-    e_p = sum_i floor((2n-1)/p^i) - floor((n-1)/p^i) - floor(n/p^i)
-    (Legendre's formula).  That is an exact factorization of the integer,
-    so reducing it mod n is valid for every n, composite or not.
+    n is factored by trial division to sqrt(n).  For each q^a || n, with
+    CB(m) = C(2m-1, m-1), the residue of CB(n) mod q^a comes from:
 
-    The primes come from a sieve of one byte per integer up to 2n-1, so n
-    is limited to CENTRAL_BINOMIAL_MAX_N (10**8, a 200 MB sieve and a
-    peak of about 245 MB); a larger n raises ValueError before anything
-    is allocated.
+    - a = 1: Lucas's theorem on the base-q digits of 2n-1 and n-1;
+    - q >= 5: Jacobsthal's congruence C(2mq, mq) = C(2m, m) mod
+      q^(3 + 3 v_q(m)), which for odd q gives CB(n/q^i) = CB(n/q^(i+1))
+      mod q^(3(a-i)).  Chained j = min(a, floor(2a/3) + 1) times it holds
+      mod q^(3(a-j+1)), at least q^a, so CB(n) = CB(n/q^j) mod q^a, and
+      the Legendre product below runs on n/q^j instead of n;
+    - q in {2, 3}, a >= 2: 0 if v_q(CB(n)), Kummer's count of carries
+      when n-1 and n are added in base q, is at least a; otherwise the
+      Legendre product on n itself, mod q^a.
+
+    The residues are joined by the Chinese remainder theorem.  Only the
+    last case sieves to 2n-1 (powers of 2 and of 3 always take it), so n
+    is still limited to CENTRAL_BINOMIAL_MAX_N (10**8, a 200 MB sieve and
+    a peak of about 244 MB); a larger n raises ValueError before anything
+    is allocated.  References: Granville, "Binomial coefficients modulo
+    prime powers" (1997).
     """
     if n < 2:
         raise ValueError("witness requires n >= 2")
     _check_central_binomial_n(n)
-    top = 2 * n - 1
-    # The b"\0\1" pattern starts with every even index cleared, so no p = 2
-    # pass (an n-byte zero block) is needed and odd p clears odd multiples only.
-    sieve = bytearray(b"\0\1") * n
-    sieve[1:3] = b"\0\1"
-    for p in range(3, math.isqrt(top) + 1, 2):
-        if sieve[p]:
-            sieve[p * p :: 2 * p] = bytes(len(range(p * p, top + 1, 2 * p)))
+    residue, modulus = 0, 1
+    for q, a in _factorize(n):
+        qa = q**a
+        if a == 1:
+            r = _binomial_mod_prime(2 * n - 1, n - 1, q)
+        elif q >= 5:
+            r = _central_binomial_legendre(n // q ** min(a, 2 * a // 3 + 1), qa)
+        elif _central_binomial_valuation(n, q) >= a:
+            r = 0
+        else:
+            r = _central_binomial_legendre(n, qa)
+        residue += modulus * ((r - residue) * pow(modulus, -1, qa) % qa)
+        modulus *= qa
+    return _report(n, CENTRAL_BINOMIAL, (residue - 1) % n)
+
+
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """[(q, a), ...] with q^a || n, q ascending, by trial division to sqrt(n)."""
+    factors = []
+    for q in itertools.chain(_SMALL_PRIMES, itertools.count(_SMALL_PRIME_BOUND + 1, 2)):
+        if q * q > n:
+            break
+        if n % q == 0:
+            a = 0
+            while n % q == 0:
+                n //= q
+                a += 1
+            factors.append((q, a))
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+def _binomial_mod_prime(top: int, k: int, q: int) -> int:
+    """C(top, k) mod prime q, by Lucas's theorem: the product over base-q digits."""
+    result = 1
+    while k:
+        top, t = divmod(top, q)
+        k, s = divmod(k, q)
+        if s > t:
+            return 0
+        result = result * math.comb(t, s) % q
+    return result
+
+
+def _central_binomial_valuation(m: int, p: int) -> int:
+    """v_p(C(2m-1, m-1)) by Legendre's formula, the sum over the powers p^i <= 2m-1."""
+    top, e, pi = 2 * m - 1, 0, p
+    while pi <= top:
+        e += top // pi - (m - 1) // pi - m // pi
+        pi *= p
+    return e
+
+
+def _central_binomial_legendre(m: int, mod: int) -> int:
+    """C(2m-1, m-1) mod `mod`, from the binomial's factorization.
+
+    C(2m-1, m-1) is the product of p^e_p over the primes p <= 2m-1, with
+    e_p its p-adic valuation (Legendre's formula).  That is an exact
+    factorization of the integer, so reducing it mod `mod` is valid for
+    every modulus.  The primes come from a sieve of one byte per integer
+    up to 2m-1.
+    """
+    if m == 1:
+        return 1 % mod
+    top = 2 * m - 1
+    flags = _prime_flags(top + 1)
+    root = math.isqrt(top)
     product = 1
-    for p in itertools.compress(range(top + 1), sieve):
-        e, q = 0, p
-        while q <= top:
-            e += top // q - (n - 1) // q - n // q
-            q *= p
-        if e:
-            product = product * pow(p, e, n) % n
-    return _report(n, CENTRAL_BINOMIAL, (product - 1) % n)
+    for p in itertools.compress(range(root + 1), flags):
+        product = product * pow(p, _central_binomial_valuation(m, p), mod) % mod
+    # Above sqrt(2m-1) Legendre's sum has one term, and it is 0 or 1.
+    for p in itertools.compress(range(root + 1, top + 1), itertools.islice(flags, root + 1, None)):
+        if top // p - (m - 1) // p - m // p:
+            product = product * p % mod
+    return product % mod
 
 
 def _check_central_binomial_n(n: int) -> None:

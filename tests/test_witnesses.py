@@ -43,6 +43,37 @@ def test_is_prime_matches_trial_division_below_2000():
         assert is_prime(n) == trial_division(n)
 
 
+def test_is_prime_matches_trial_division_where_the_gcd_meets_miller_rabin():
+    # below 10^6 the answer is the gcd with the primes below 1000 alone
+    for n in range(999_000, 1_001_001):
+        assert is_prime(n) == trial_division(n), n
+
+
+@pytest.mark.parametrize(
+    "n,reaches_miller_rabin",
+    [
+        (997, False),  # the largest prime below 1000: read from the small sieve
+        (1000, False),
+        (1009, False),  # prime, no factor below 1000, below 10^6
+        (997**2, False),  # composite below 10^6, caught by the gcd
+        (1009**2, True),  # composites above 10^6 with no factor below 1000
+        (1009 * 1013, True),
+        (1009 * 1013 * 2, False),  # even: caught by the gcd above 10^6 too
+    ],
+)
+def test_is_prime_at_the_small_prime_boundaries(monkeypatch, n, reaches_miller_rabin):
+    calls = []
+    real = witnesses._miller_rabin
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(witnesses, "_miller_rabin", spy)
+    assert is_prime(n) == trial_division(n)
+    assert calls == ([n] if reaches_miller_rabin else [])
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [
@@ -132,6 +163,80 @@ def test_central_binomial_examples():
 def test_central_binomial_matches_exact_binomial():
     for n in range(2, 1201):
         assert witness_central_binomial(n).residue == (math.comb(2 * n - 1, n - 1) - 1) % n, n
+
+
+def _central_binomial_oracle(n):
+    return (math.comb(2 * n - 1, n - 1) - 1) % n
+
+
+# The oracle builds the whole binomial: at 7^4 * 300 that takes about 20 s,
+# so n stays below 2 * 10^4 by bounding m for the larger prime powers.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=300),
+)
+def test_central_binomial_factor_route_matches_exact_binomial(q, a, m):
+    n = q**a * min(m, 20_000 // q**a)
+    assert witness_central_binomial(n).residue == _central_binomial_oracle(n)
+
+
+def test_central_binomial_powers_of_2_and_3_take_the_legendre_fallback(monkeypatch):
+    calls = []
+    real = witnesses._central_binomial_legendre
+
+    def spy(m, mod):
+        calls.append((m, mod))
+        return real(m, mod)
+
+    monkeypatch.setattr(witnesses, "_central_binomial_legendre", spy)
+    for n in [2**a for a in range(2, 15)] + [3**a for a in range(2, 10)]:
+        calls.clear()
+        assert witness_central_binomial(n).residue == _central_binomial_oracle(n), n
+        assert calls == [(n, n)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 37, 101, 463])
+def test_central_binomial_prime_squares_and_cubes_pass(p):
+    # C(2n-1, n-1) = 1 mod p^3 at n = p for p >= 5 (Wolstenholme), and
+    # Jacobsthal's congruence carries it to n = p^2 and p^3
+    for n in (p**2, p**3):
+        assert witness_central_binomial(n).is_pseudoprime, n
+        if n < 10**5:
+            assert _central_binomial_oracle(n) == 0, n
+
+
+def test_central_binomial_27173_is_the_square_free_passer():
+    assert 27173 == 29 * 937
+    report = witness_central_binomial(27173)
+    assert report.is_pseudoprime
+    assert _central_binomial_oracle(27173) == 0
+
+
+def test_central_binomial_legendre_product_matches_exact_binomial():
+    for mod in (2, 4, 8, 3, 9, 27, 25, 49, 2**10 * 3**5, 10**9 + 7):
+        for m in range(1, 300):
+            assert witnesses._central_binomial_legendre(m, mod) == math.comb(2 * m - 1, m - 1) % mod, (m, mod)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from((2, 3, 5, 7, 11, 13, 97, 997)),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=3000),
+)
+def test_binomial_mod_prime_matches_exact_binomial(q, top, k):
+    assert witnesses._binomial_mod_prime(top, k, q) == math.comb(top, k) % q
+
+
+@pytest.mark.parametrize(
+    "lo,hi,passer", [(27_100, 27_200, 27_173), (50_600, 50_700, 50_653)]  # 29 * 937, 37^3
+)
+def test_central_binomial_scan_windows_around_the_census_passers(lo, hi, passer):
+    result = scan_pseudoprimes("central-binomial", lo, hi)
+    assert result.pseudoprimes == (passer,)
+    assert result.primes_checked == sum(map(trial_division, range(lo, hi + 1)))
 
 
 def test_central_binomial_scan_around_100003():
