@@ -2,9 +2,10 @@
 """Walk through the package's headline exact computations.
 
 Prints the six-coefficient example with its per-k composition groups,
-the 2^n - 1 collapse for the all-ones series, the Lucas and central
-binomial sequences recovered from log-superpositions, and a live
-pseudoprime hunt for all three specialized witnesses.
+the 2^n - 1 collapse for the all-ones series, the Lucas, Perrin and
+central binomial sequences recovered from log-superpositions, a live
+pseudoprime hunt for all three specialized witnesses, and the first
+Perrin pseudoprime found by the generic witness.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from logseries import (
     make_series,
     scan_pseudoprimes,
     theorem_sum,
+    witness_generic,
 )
 
 
@@ -44,6 +46,8 @@ def show_mersenne_collapse(order):
 def show_named_log_superpositions():
     fib = log_superposition(make_series(SequenceSpec("fib-gf", 17)), 17)
     print("n*g(n) for x + x^2      :", list(fib.ng), "(Lucas numbers)")
+    perrin = log_superposition(make_series(SequenceSpec("inline:0,1,1", 12)), 12)
+    print("n*g(n) for x^2 + x^3    :", list(perrin.ng), "(Perrin numbers)")
     cat = log_superposition(make_series(SequenceSpec("catalan-shifted", 10)), 10)
     print("n*g(n) for shifted Catalan:", list(cat.ng), "(central binomials)")
     ones5 = make_series(SequenceSpec("ones", 5))
@@ -63,6 +67,18 @@ def show_pseudoprime_hunt(hi):
     print()
     print("note: central-binomial is fooled by prime powers; the other two")
     print("first fail at 341 (fermat2) and 705 (lucas).")
+    print()
+
+
+def show_perrin_pseudoprime():
+    n = 521**2
+    f = make_series(SequenceSpec("inline:0,1,1", n))
+    report = witness_generic(f, n, series_id="x^2 + x^3")
+    print(
+        f"Perrin test (generic witness on x^2 + x^3) at n = {n} = 521^2: "
+        f"residue {report.residue}, prime={report.is_prime_actual}, "
+        f"pseudoprime={report.is_pseudoprime}"
+    )
 
 
 def main():
@@ -75,6 +91,7 @@ def main():
     show_mersenne_collapse(args.order)
     show_named_log_superpositions()
     show_pseudoprime_hunt(args.scan_hi)
+    show_perrin_pseudoprime()
 
 
 if __name__ == "__main__":

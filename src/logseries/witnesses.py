@@ -16,7 +16,11 @@ for any n:
 
 The central-binomial residue is computed one prime power q^a || n at a
 time (Lucas, Jacobsthal, Kummer) and joined by the Chinese remainder
-theorem; see witness_central_binomial.
+theorem; see witness_central_binomial.  Any other series takes the
+generic witness, which reads n*g(n) off the derivative recurrence
+G' = F'/(1-F) (superposition._h_and_ng) in O(n * |supp f|) steps and
+builds no compositae table.  For x^2 + x^3, n*g(n) is the Perrin number
+P(n), so the generic witness is the Perrin test.
 
 Ground-truth primality is one gcd with the product of the primes below
 1000, which is exact trial division below 10^6, then fixed-base
@@ -35,9 +39,12 @@ import itertools
 import math
 
 from ._value import Value, set_field
-from .compositae import CompositaeTable, compositae_dp
 from .series import IntSeries
-from .superposition import _integral, theorem_sum
+from .superposition import (
+    _h_and_ng,
+    # Not called here; bench/tracing.py wraps this name in this module too.
+    theorem_sum,
+)
 
 PASSES = "passes"
 COMPOSITE_WITNESSED = "composite-witnessed"
@@ -399,18 +406,21 @@ def witness_generic(f: IntSeries, n: int, *, series_id: str = "series") -> Witne
 
     Zero exactly when the truncated sum sum_{k<n} F_delta(n,k)/k is an
     integer, since n*g(n) differs from n times that sum by f(1)^n.
+    n*g(n) mod n comes from the derivative recurrence run mod n: O(n)
+    ints below n and O(n * |supp f|) steps, with no compositae table.
+    For x^2 + x^3 (inline:0,1,1) the residue is the Perrin number P(n)
+    mod n, and n = 271441 = 521^2 is the first composite that passes.
     """
-    return _witness_generic(f, n, series_id, None)
-
-
-def _witness_generic(
-    f: IntSeries, n: int, series_id: str, table: CompositaeTable | None
-) -> WitnessReport:
-    """witness_generic, reading row n from `table` when one is given."""
     if n < 2:
         raise ValueError("witness requires n >= 2")
-    ng = _integral("n*g(n)", n, theorem_sum(f, n, table=table))
-    f1 = f.coeff(1)
+    if n > f.order:
+        raise ValueError(f"n={n} exceeds series order {f.order}")
+    ng = _h_and_ng(f, n, mod=n)[1]
+    return _generic_report(n, ng[n], f.coeff(1), series_id)
+
+
+def _generic_report(n: int, ng: int, f1: int, series_id: str) -> WitnessReport:
+    """The generic witness's report at n, given n*g(n) (exact or mod n) and f(1)."""
     residue = (ng - pow(f1, n, n)) % n
     note = "degenerate: f(1) = 0, so the k = n term vanishes" if f1 == 0 else ""
     return _report(n, f"generic({series_id})", residue, note)
@@ -452,8 +462,12 @@ def _witness_for(
     For a scan, `hi` is the largest n it will ask for, and it is checked
     here, before any witness: against CENTRAL_BINOMIAL_MAX_N for the
     central-binomial test, and against the series order for the generic
-    test, which then reads every row from one compositae table of order
-    hi.
+    test.  The generic scan then runs the derivative recurrence once,
+    exact, to hi, and reduces n*g(n) mod each n.  The modulus changes
+    with n, so the values cannot be kept reduced: h(n) and n*g(n) are
+    exact, and when their size grows by b bits per n the two lists hold
+    about b * hi^2 / 2 bits each (ones: b = 1, so hi = 10^4 is about 6 MB
+    a list).
     """
     if test == FERMAT2:
         return witness_fermat2
@@ -470,8 +484,9 @@ def _witness_for(
             return lambda n: witness_generic(series, n, series_id=series_id)
         if series.order < hi:
             raise ValueError(f"series order {series.order} is below hi={hi}")
-        table = compositae_dp(series, hi)
-        return lambda n: _witness_generic(series, n, series_id, table)
+        ng = _h_and_ng(series, hi)[1]
+        f1 = series.coeff(1)
+        return lambda n: _generic_report(n, ng[n], f1, series_id)
     raise ValueError(f"unknown witness test {test!r}")
 
 
@@ -489,7 +504,7 @@ def scan_pseudoprimes(
     be >= 1 and is otherwise unused: the witnesses are pure Python, so
     under the interpreter lock a second thread gave no speedup.  The
     whole request is validated before the first witness runs, and a
-    generic scan builds one compositae table of order hi for all n.
+    generic scan runs the derivative recurrence once, to hi, for all n.
     """
     if not (2 <= lo <= hi):
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")

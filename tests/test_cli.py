@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,6 +227,24 @@ def test_witness_generic_fib_gf(capsys):
     assert code == 0
     doc = json.loads(out)
     assert witness_from_payload(doc["result"]).residue == witness_lucas(705).residue
+
+
+def test_witness_generic_perrin_flags_271441(capsys):
+    # x^2 + x^3 makes n*g(n) the Perrin number P(n); 271441 = 521^2 is the
+    # first composite n with P(n) = 0 mod n (Adams and Shanks, 1982).
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "witness", "--test", "generic", "--seq", "inline:0,1,1", "--n", "271441",
+        "--format", "json",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["residue"] == "0"
+    assert result["pseudoprime"] is True
+    assert result["is_prime_actual"] is False
+    assert result["note"] == "degenerate: f(1) = 0, so the k = n term vanishes"
+    assert elapsed < 1.0
 
 
 def test_witness_json_round_trips(capsys):
@@ -473,13 +492,18 @@ def test_unknown_seq_kind_is_input_error(capsys):
 
 
 def test_internal_error_exits_3_not_witness_status(capsys, monkeypatch):
-    monkeypatch.setattr(witnesses, "theorem_sum", lambda f, n, table=None: Fraction(1, 2))
+    # A fault inside the generic witness's recurrence is an internal error,
+    # not a verdict: exit 3, nothing on stdout, one stderr line.
+    def broken(f, order, mod=None):
+        raise ZeroDivisionError("injected fault in the recurrence")
+
+    monkeypatch.setattr(witnesses, "_h_and_ng", broken)
     code, out, err = run(capsys, "witness", "--test", "generic", "--seq", "ones", "--n", "7")
     assert code == 3
     assert out == ""
-    assert err.startswith(
-        "logseries witness: internal error: IntegralityError: n*g(n) came out fractional"
-    )
+    assert err.splitlines() == [
+        "logseries witness: internal error: ZeroDivisionError: injected fault in the recurrence"
+    ]
 
 
 def test_unexpected_exception_exits_3_with_one_stderr_line(capsys, monkeypatch):

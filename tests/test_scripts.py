@@ -30,6 +30,11 @@ def test_scripts_run_and_report_the_pseudoprime_lists(tmp_path):
     examples = run_script("worked_examples.py", "--order", "16", "--scan-hi", "800")
     assert "pseudoprimes: 341, 561, 645\n" in examples
     assert "pseudoprimes: 705\n" in examples
+    assert "n*g(n) for x^2 + x^3    : [0, 2, 3, 2, 5, 5, 7, 10, 12, 17, 22, 29] (Perrin numbers)\n" in examples
+    assert (
+        "Perrin test (generic witness on x^2 + x^3) at n = 271441 = 521^2: "
+        "residue 0, prime=False, pseudoprime=True\n"
+    ) in examples
 
     out = tmp_path / "census.json"
     census = run_script("pseudoprime_census.py", "--hi", "2000", "--json-out", str(out))

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logseries import (
@@ -29,7 +29,7 @@ from logseries import (
     theorem_sum,
     witness_generic,
 )
-from logseries.superposition import _reciprocal_weights, _row_sum, _scale_weights
+from logseries.superposition import _h_and_ng, _reciprocal_weights, _row_sum, _scale_weights
 from series_oracles import (
     compose_truncated,
     derivative_identity_residual,
@@ -385,6 +385,36 @@ def test_derivative_identity_gives_integer_route_to_ng():
     ls = log_superposition(f, 8)
     for n in range(1, 8):
         assert product.coeff(n - 1) == ls.ng_at(n)
+
+
+@st.composite
+def recurrence_series(draw):
+    """Signed f of order <= 40: dense 8-bit or sparse small, with f(1) = 0 half the time."""
+    order = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-255, 255), min_size=order, max_size=order))
+        coeffs = dict(enumerate(values, start=1))
+    else:
+        coeffs = draw(st.dictionaries(st.integers(1, order), st.integers(-2, 2), max_size=4))
+    if draw(st.booleans()):
+        coeffs[1] = 0
+    return IntSeries(order, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(recurrence_series())
+@example(IntSeries(40, {m: (-1) ** m * m for m in range(2, 41)}))
+def test_h_and_ng_equals_the_dp_route(f):
+    h, ng = _h_and_ng(f, f.order)
+    ls = log_superposition(f, f.order)
+    assert (h[0], ng[0]) == (1, 0)
+    assert tuple(h[1:]) == ls.h
+    assert tuple(ng[1:]) == ls.ng
+    for n in range(2, f.order + 1):
+        h_mod, ng_mod = _h_and_ng(f, n, mod=n)
+        assert h_mod == [v % n for v in h[: n + 1]]
+        assert ng_mod == [v % n for v in ng[: n + 1]]
+        assert ng_mod[n] == theorem_sum(f, n) % n
 
 
 def test_integrality_error_is_arithmetic_error():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logseries import superposition, witnesses
+from logseries import compositae, superposition, witnesses
 from logseries import (
     COMPOSITE_WITNESSED,
     PASSES,
@@ -409,26 +409,84 @@ def test_generic_scan_rejects_short_series_before_any_witness(monkeypatch):
     def must_not_run(*args, **kwargs):
         pytest.fail("the scan ran a witness before rejecting the series order")
 
-    monkeypatch.setattr(witnesses, "theorem_sum", must_not_run)
+    monkeypatch.setattr(witnesses, "_h_and_ng", must_not_run)
     f = IntSeries(40, {i: 1 for i in range(1, 41)})
     with pytest.raises(ValueError, match="below hi=60"):
         scan_pseudoprimes("generic", 2, 60, series=f)
 
 
-def test_generic_scan_builds_one_table(monkeypatch):
+def spy_on_generic_route(monkeypatch):
+    """Fail on any compositae_dp call; return the (order, mod) of each recurrence call."""
+    def no_table(*args, **kwargs):
+        pytest.fail("the generic witness built a compositae table")
+
+    for module in (compositae, superposition):
+        monkeypatch.setattr(module, "compositae_dp", no_table)
     calls = []
-    for module in (witnesses, superposition):
-        real = module.compositae_dp
+    real = witnesses._h_and_ng
 
-        def counting(f, order, real=real):
-            calls.append(order)
-            return real(f, order)
+    def counting(f, order, mod=None):
+        calls.append((order, mod))
+        return real(f, order, mod)
 
-        monkeypatch.setattr(module, "compositae_dp", counting)
-    f = IntSeries(60, {1: 1, 2: 1})
-    result = scan_pseudoprimes("generic", 10, 60, series=f)
-    assert result.pseudoprimes == scan_pseudoprimes("lucas", 10, 60).pseudoprimes
-    assert calls == [60]
+    monkeypatch.setattr(witnesses, "_h_and_ng", counting)
+    return calls
+
+
+def test_generic_scan_runs_one_recurrence_and_no_table(monkeypatch):
+    lucas = scan_pseudoprimes("lucas", 10, 60)
+    calls = spy_on_generic_route(monkeypatch)
+    result = scan_pseudoprimes("generic", 10, 60, series=IntSeries(60, {1: 1, 2: 1}))
+    assert calls == [(60, None)]
+    assert (result.pseudoprimes, result.primes_checked, result.composites_checked) == (
+        lucas.pseudoprimes,
+        lucas.primes_checked,
+        lucas.composites_checked,
+    )
+
+
+def test_generic_witness_runs_the_recurrence_mod_n(monkeypatch):
+    calls = spy_on_generic_route(monkeypatch)
+    report = witness_generic(IntSeries(50, {1: 1, 2: 1}), 45)
+    assert calls == [(45, 45)]
+    assert report.residue == witness_lucas(45).residue
+
+
+def test_generic_witness_checks_n_before_the_recurrence(monkeypatch):
+    calls = spy_on_generic_route(monkeypatch)
+    f = IntSeries(40, {1: 1})
+    with pytest.raises(ValueError, match="witness requires n >= 2"):
+        witness_generic(f, 1)
+    with pytest.raises(ValueError, match="n=41 exceeds series order 40"):
+        witness_generic(f, 41)
+    assert calls == []
+
+
+def perrin_numbers(count):
+    """P(0), ..., P(count - 1) by P(n) = P(n-2) + P(n-3), independent of the package."""
+    p = [3, 0, 2]
+    while len(p) < count:
+        p.append(p[-2] + p[-3])
+    return p[:count]
+
+
+def test_generic_witness_on_x2_plus_x3_is_the_perrin_test():
+    # n*g(n) for x^2 + x^3 is P(n), and f(1) = 0, so the residue is P(n) mod n;
+    # no composite passes below 271441 (Adams and Shanks, 1982).
+    f = IntSeries(500, {2: 1, 3: 1})
+    perrin = perrin_numbers(501)
+    reports = [witness_generic(f, n) for n in range(2, 501)]
+    assert [r.residue for r in reports] == [perrin[n] % n for n in range(2, 501)]
+    assert not any(r.is_pseudoprime for r in reports)
+
+
+def test_generic_scan_of_fib_gf_to_5000_is_the_lucas_scan():
+    f = IntSeries(5000, {1: 1, 2: 1})
+    generic = scan_pseudoprimes("generic", 2, 5000, series=f)
+    lucas = scan_pseudoprimes("lucas", 2, 5000)
+    assert generic.pseudoprimes == lucas.pseudoprimes
+    assert generic.primes_checked == lucas.primes_checked
+    assert generic.composites_checked == lucas.composites_checked
 
 
 def test_scan_validates_range_and_test_name():
