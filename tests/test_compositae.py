@@ -1,6 +1,7 @@
 """Compositae triangle: DP vs definitional enumeration vs partition counts."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +12,16 @@ from logseries import (
     CompositaeTable,
     IntSeries,
     PartMultiset,
+    SequenceSpec,
     compositae_bruteforce,
     compositae_dp,
     compositions,
     enumerate_part_multisets,
+    make_series,
     multinomial_count,
 )
+from logseries import compositae
+from logseries.compositae import PACKED_MIN_SUPPORT, _entry_rows, _packed_rows, _slot_bytes
 from series_oracles import geometric_inverse, series_mul
 
 
@@ -84,6 +89,61 @@ def test_dp_shifted_catalan_closed_form():
         for k in range(1, n + 1):
             expected = k * math.comb(2 * n - k - 1, n - 1) // n
             assert table.value(n, k) == expected
+
+
+def test_dp_ones_300_is_pascal():
+    # 300 support terms: the packed kernel, with slots of 2^299 and more
+    table = compositae_dp(ones(300), 300)
+    for n in range(1, 301):
+        assert table.row(n) == tuple(math.comb(n - 1, k - 1) for k in range(1, n + 1)), n
+
+
+def _signed_dense(order):
+    """Every coefficient a random nonzero signed 8-bit value, as the bench's dense inline series."""
+    rng = random.Random(order)
+    return IntSeries.from_values([rng.randint(1, 255) * rng.choice((1, -1)) for _ in range(order)])
+
+
+@pytest.mark.parametrize(
+    "kind,order", [("ones", 150), ("primes1", 150), ("catalan-shifted", 150), ("signed-8-bit", 120)]
+)
+def test_packed_kernel_matches_entry_kernel(kind, order):
+    f = _signed_dense(order) if kind == "signed-8-bit" else make_series(SequenceSpec(kind, order))
+    assert _packed_rows(f, order) == _entry_rows(f, order)
+
+
+@pytest.mark.parametrize(
+    "terms,kernel", [(PACKED_MIN_SUPPORT - 1, "_entry_rows"), (PACKED_MIN_SUPPORT, "_packed_rows")]
+)
+def test_dp_kernel_follows_support_size(monkeypatch, terms, kernel):
+    # Only coefficients up to the order count toward the support.
+    f = IntSeries(40, {**{m: 1 for m in range(2, 2 + terms)}, 40: 1})
+    ran = []
+
+    def spy(name):
+        original = getattr(compositae, name)
+
+        def kernel(f, order):
+            ran.append(name)
+            return original(f, order)
+
+        return kernel
+
+    for name in ("_entry_rows", "_packed_rows"):
+        monkeypatch.setattr(compositae, name, spy(name))
+    compositae_dp(f, 39)
+    assert ran == [kernel]
+
+
+@pytest.mark.parametrize(
+    "value,width", [(127, 1), (128, 2), (255, 2), (256, 2), (32767, 2), (32768, 3)]
+)
+def test_slot_width_keeps_a_sign_bit(value, width):
+    # Rows below 32 have a single part, so the bound max h(n) is `value`.
+    support = [(m, (-1) ** m * value) for m in range(16, 32)]
+    assert _slot_bytes(support, 31) == width
+    f = IntSeries(31, dict(support))
+    assert _packed_rows(f, 31) == _entry_rows(f, 31)
 
 
 def test_dp_requires_enough_coefficients():
@@ -155,10 +215,25 @@ def test_dp_matches_bruteforce(f, data):
 
 @st.composite
 def wide_series(draw):
-    """Orders past the brute-force cap; unit, small and large coefficients."""
+    """Orders past the brute-force cap; unit, small, byte-boundary and huge coefficients.
+
+    Half the draws ask for at least PACKED_MIN_SUPPORT entries, so both
+    kernels of compositae_dp are reached (zeros drop out of the support).
+    """
     order = draw(st.integers(min_value=12, max_value=40))
-    value = st.sampled_from((0, 1, -1, 2, -2)) | st.integers(-10**6, 10**6)
-    return IntSeries(order, draw(st.dictionaries(st.integers(1, order), value, max_size=order)))
+    value = (
+        st.sampled_from((0, 1, -1, 2, -2, 127, -128, 255, -256))
+        | st.integers(-10**6, 10**6)
+        | st.integers(-10**30, 10**30)
+    )
+    min_size = draw(st.sampled_from((0, min(order, PACKED_MIN_SUPPORT))))
+    keys = st.integers(1, order)
+    return IntSeries(order, draw(st.dictionaries(keys, value, min_size=min_size, max_size=order)))
+
+
+def _signed(values, start=1):
+    """Consecutive coefficients from index `start`, alternating in sign."""
+    return {m: (-1) ** (m - start) * v for m, v in enumerate(values, start=start)}
 
 
 @settings(max_examples=25, deadline=None)
@@ -167,10 +242,31 @@ def wide_series(draw):
 @example(IntSeries(12, {2: 1, 3: 1}))
 @example(IntSeries(20, {1: -1, 2: 1, 4: 3, 7: -1}))
 @example(IntSeries(20, {1: 3, 2: -1, 3: 1, 6: -2}))
+# supports of exactly PACKED_MIN_SUPPORT - 1 and PACKED_MIN_SUPPORT terms
+@example(IntSeries(30, _signed(range(1, 16))))
+@example(IntSeries(30, _signed(range(1, 17))))
+# f(1) = 0 and gaps, on both sides of the cut-off
+@example(IntSeries(36, {m: 1 for m in range(2, 32, 2)}))
+@example(IntSeries(40, {m: (-1) ** m * m for m in range(3, 40, 2) if m % 7}))
+# signed huge coefficients
+@example(IntSeries(24, _signed([10**30] * 16)))
+@example(IntSeries(24, {1: 10**30, **_signed([-(10**30)] * 16, start=3)}))
+# byte boundaries: no row has two parts, so max h(n) is the coefficient
+# itself and the slot width goes from 1 byte (127) to 2 bytes (128)
+@example(IntSeries(31, _signed([127] * 16, start=16)))
+@example(IntSeries(31, _signed([128] * 16, start=16)))
+@example(IntSeries(31, _signed([255] * 16, start=16)))
+@example(IntSeries(31, _signed([256] * 16, start=16)))
+@example(IntSeries(31, {m: -128 for m in range(16, 32)}))
+@example(IntSeries(31, {m: -256 for m in range(16, 32)}))
+# and the same values once products appear
+@example(IntSeries(40, {m: -127 for m in range(16, 32)}))
+@example(IntSeries(40, _signed([128, -255, 256] * 6, start=8)))
 def test_dp_matches_powers_of_f(f):
     # F_delta(n, k) is the coefficient of x^n in F^k; the examples reach the
-    # DP's c = 1, c = -1 and general-c branches, both for the first support
-    # term (which assigns its slice) and for later ones, and f(1) = 0.
+    # entry kernel's c = 1, c = -1 and general-c branches, both for the first
+    # support term (which assigns its slice) and for later ones, f(1) = 0,
+    # and the packed kernel on each side of its slot-width steps.
     table = compositae_dp(f, f.order)
     rat = f.to_rat()
     power = rat
