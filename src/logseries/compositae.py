@@ -23,6 +23,11 @@ packed slots are W whole bytes, from the bound |F_delta(n, k)| <= h_|f|(n)
 plus a sign bit, and cost about order^2 * W / 2 extra bits.  The kernels
 crossed over at 8-12 support terms for orders 150-500.
 
+The row sums h(n) of the triangle and n*g(n) = sum_k (n/k) F_delta(n, k)
+also stream, with no triangle, from _h_and_ng (H = 1/(1-F), G' = F' H),
+holding O(d) values for a support that ends at d: the generic witness
+and scan read n*g(n) there, and the packed slot bound reads h of |f|.
+
 Unordered part multisets (partitions into exactly k parts) and the
 multinomial count of orderings per multiset give a third decomposition:
 
@@ -147,23 +152,48 @@ def _entry_rows(f: IntSeries, order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _slot_bytes(support: list[tuple[int, int]], order: int) -> int:
-    """Bytes per packed slot: room for max |F_delta(n, k)| and a spare sign bit.
+def _h_and_ng(f: IntSeries, order: int, mod: int | None = None) -> Iterator[tuple[int, int]]:
+    """Yield (h(n), n*g(n)) for n = 0..order, keeping O(d) values of h.
 
-    |F_delta(n, k)| <= h_|f|(n), the row sum of the triangle of |f|, from
-    h(0) = 1, h(n) = sum_{m<=n} |f(m)| h(n - m).  That is the recurrence
-    of superposition._h_and_ng on |f|, repeated here because superposition
-    imports this module.
+    h(0) = 1 and ng(0) = 0; for n >= 1, h(n) = sum_{m<=n} f(m) h(n-m) and
+    n*g(n) = sum_{m<=n} m f(m) h(n-m), the coefficients of H = 1/(1-F)
+    and of x G' = x F' H.  Each step walks only the sorted support of f,
+    which ends at d <= order (d = 1 for an empty support), so only the
+    last d values of h are read: the list is cut back to them whenever
+    it passes 2d + 64.  With `mod` (at least 2) every value is reduced
+    below mod; without it they are the exact integers.  The caller checks
+    that order <= f.order.
     """
+    support = _support(f, order)
+    d = support[-1][0] if support else 1
+    cap = 2 * d + 64
     h = [1]
+    yield 1, 0
     for n in range(1, order + 1):
-        hn = 0
+        hn = ngn = 0
         for m, c in support:
             if m > n:
                 break
-            hn += abs(c) * h[n - m]
+            term = c * h[-m]
+            hn += term
+            ngn += m * term
+        if mod is not None:
+            hn %= mod
+            ngn %= mod
         h.append(hn)
-    return max(h).bit_length() // 8 + 1
+        if len(h) > cap:
+            del h[:-d]
+        yield hn, ngn
+
+
+def _slot_bytes(support: list[tuple[int, int]], order: int) -> int:
+    """Bytes per packed slot: room for max |F_delta(n, k)| and a spare sign bit.
+
+    |F_delta(n, k)| <= h_|f|(n), the row sum of the triangle of |f|, which
+    _h_and_ng yields for |f|.
+    """
+    abs_f = IntSeries(order, {m: abs(c) for m, c in support})
+    return max(h for h, _ in _h_and_ng(abs_f, order)).bit_length() // 8 + 1
 
 
 def _packed_rows(f: IntSeries, order: int) -> tuple[tuple[int, ...], ...]:

@@ -28,13 +28,9 @@ log_superposition (n*g(n)) and statement21_check take n times the row
 sum through _n_times_row_sums, and every value that must be an integer
 is checked by _integral.
 
-The generic witness needs n*g(n) only, and _h_and_ng gives it without a
-triangle: G' = F' H with H = 1/(1-F), so
-
-    h(n) = sum_{m<=n} f(m) h(n-m),  h(0) = 1,
-    n*g(n) = sum_{m<=n} m f(m) h(n-m),
-
-in O(order * |supp f|) integer steps, optionally mod some modulus.
+The generic witness needs n*g(n) only, and compositae._h_and_ng streams
+it without a triangle, from G' = F' H with H = 1/(1-F); every sum here
+still reads a compositae table.
 """
 
 from __future__ import annotations
@@ -174,35 +170,6 @@ def log_superposition(f: IntSeries, order: int) -> LogSuperposition:
         ng=ng,
         h=tuple(sum(row) for row in tab.rows),
     )
-
-
-def _h_and_ng(f: IntSeries, order: int, mod: int | None = None) -> tuple[list[int], list[int]]:
-    """(h, ng) with h[n] = h(n) and ng[n] = n*g(n) for n = 0..order.
-
-    h(0) = 1 and ng(0) = 0; for n >= 1, h(n) = sum_{m<=n} f(m) h(n-m) and
-    ng(n) = sum_{m<=n} m f(m) h(n-m), the coefficients of H = 1/(1-F)
-    and of x G' = x F' H.  Each step walks only the sorted support of f.
-    With `mod` (at least 2) every value is reduced, so the lists hold
-    ints below mod; without it they are the exact integers.  The caller
-    checks that order <= f.order.
-    """
-    support = [(m, c) for m, c in sorted(f.coeffs.items()) if m <= order]
-    h = [1]
-    ng = [0]
-    for n in range(1, order + 1):
-        hn = ngn = 0
-        for m, c in support:
-            if m > n:
-                break
-            term = c * h[n - m]
-            hn += term
-            ngn += m * term
-        if mod is not None:
-            hn %= mod
-            ngn %= mod
-        h.append(hn)
-        ng.append(ngn)
-    return h, ng
 
 
 def _row(f: IntSeries, n: int, table: CompositaeTable | None) -> tuple[int, ...]:

@@ -17,10 +17,11 @@ for any n:
 The central-binomial residue is computed one prime power q^a || n at a
 time (Lucas, Jacobsthal, Kummer) and joined by the Chinese remainder
 theorem; see witness_central_binomial.  Any other series takes the
-generic witness, which reads n*g(n) off the derivative recurrence
-G' = F'/(1-F) (superposition._h_and_ng) in O(n * |supp f|) steps and
-builds no compositae table.  For x^2 + x^3, n*g(n) is the Perrin number
-P(n), so the generic witness is the Perrin test.
+generic witness, which streams n*g(n) off the derivative recurrence
+G' = F'/(1-F) (compositae._h_and_ng) in O(n * |supp f|) steps, holding
+O(d) values for a support that ends at d, and builds no compositae
+table.  For x^2 + x^3, n*g(n) is the Perrin number P(n), so the
+generic witness is the Perrin test.
 
 Ground-truth primality is one gcd with the product of the primes below
 1000, which is exact trial division below 10^6, then fixed-base
@@ -37,14 +38,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 from ._value import Value, set_field
+from .compositae import _h_and_ng
 from .series import IntSeries
-from .superposition import (
-    _h_and_ng,
-    # Not called here; bench/tracing.py wraps this name in this module too.
-    theorem_sum,
-)
+# Not called here; bench/tracing.py wraps this name in this module too.
+from .superposition import theorem_sum
 
 PASSES = "passes"
 COMPOSITE_WITNESSED = "composite-witnessed"
@@ -406,17 +406,18 @@ def witness_generic(f: IntSeries, n: int, *, series_id: str = "series") -> Witne
 
     Zero exactly when the truncated sum sum_{k<n} F_delta(n,k)/k is an
     integer, since n*g(n) differs from n times that sum by f(1)^n.
-    n*g(n) mod n comes from the derivative recurrence run mod n: O(n)
-    ints below n and O(n * |supp f|) steps, with no compositae table.
-    For x^2 + x^3 (inline:0,1,1) the residue is the Perrin number P(n)
-    mod n, and n = 271441 = 521^2 is the first composite that passes.
+    n*g(n) mod n is the last value the derivative recurrence streams mod
+    n: O(n * |supp f|) steps on ints below n, holding O(d) of them for a
+    support that ends at d, with no compositae table.  For x^2 + x^3
+    (inline:0,1,1) the residue is the Perrin number P(n) mod n; 271441 =
+    521^2 and 904631 = 7 * 13 * 9941 are the first composites that pass.
     """
     if n < 2:
         raise ValueError("witness requires n >= 2")
     if n > f.order:
         raise ValueError(f"n={n} exceeds series order {f.order}")
-    ng = _h_and_ng(f, n, mod=n)[1]
-    return _generic_report(n, ng[n], f.coeff(1), series_id)
+    ((_, ng),) = deque(_h_and_ng(f, n, mod=n), maxlen=1)
+    return _generic_report(n, ng, f.coeff(1), series_id)
 
 
 def _generic_report(n: int, ng: int, f1: int, series_id: str) -> WitnessReport:
@@ -462,12 +463,11 @@ def _witness_for(
     For a scan, `hi` is the largest n it will ask for, and it is checked
     here, before any witness: against CENTRAL_BINOMIAL_MAX_N for the
     central-binomial test, and against the series order for the generic
-    test.  The generic scan then runs the derivative recurrence once,
-    exact, to hi, and reduces n*g(n) mod each n.  The modulus changes
-    with n, so the values cannot be kept reduced: h(n) and n*g(n) are
-    exact, and when their size grows by b bits per n the two lists hold
-    about b * hi^2 / 2 bits each (ones: b = 1, so hi = 10^4 is about 6 MB
-    a list).
+    test.  The generic scan's witness must then be asked for ascending
+    n: it advances one exact stream of the derivative recurrence to n and
+    reduces that n*g(n) mod n.  The modulus changes with n, so the values
+    stay exact, but only O(d) of them are held for a support that ends
+    at d: with values of about b * hi bits, O(d * b * hi) bits in all.
     """
     if test == FERMAT2:
         return witness_fermat2
@@ -484,9 +484,10 @@ def _witness_for(
             return lambda n: witness_generic(series, n, series_id=series_id)
         if series.order < hi:
             raise ValueError(f"series order {series.order} is below hi={hi}")
-        ng = _h_and_ng(series, hi)[1]
+        ngs = enumerate(ng for _, ng in _h_and_ng(series, hi))
         f1 = series.coeff(1)
-        return lambda n: _generic_report(n, ng[n], f1, series_id)
+        # The scan asks for ascending n, so each call reads the stream on to n.
+        return lambda n: _generic_report(n, next(ng for m, ng in ngs if m == n), f1, series_id)
     raise ValueError(f"unknown witness test {test!r}")
 
 
@@ -504,7 +505,8 @@ def scan_pseudoprimes(
     be >= 1 and is otherwise unused: the witnesses are pure Python, so
     under the interpreter lock a second thread gave no speedup.  The
     whole request is validated before the first witness runs, and a
-    generic scan runs the derivative recurrence once, to hi, for all n.
+    generic scan streams the derivative recurrence once, exact, to hi,
+    reducing each n*g(n) mod n as it is made and keeping no list of them.
     """
     if not (2 <= lo <= hi):
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")

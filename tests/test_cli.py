@@ -495,6 +495,7 @@ def test_internal_error_exits_3_not_witness_status(capsys, monkeypatch):
     # A fault inside the generic witness's recurrence is an internal error,
     # not a verdict: exit 3, nothing on stdout, one stderr line.
     def broken(f, order, mod=None):
+        yield 1, 0
         raise ZeroDivisionError("injected fault in the recurrence")
 
     monkeypatch.setattr(witnesses, "_h_and_ng", broken)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,13 @@ from logseries import (
     multinomial_count,
 )
 from logseries import compositae
-from logseries.compositae import PACKED_MIN_SUPPORT, _entry_rows, _packed_rows, _slot_bytes
+from logseries.compositae import (
+    PACKED_MIN_SUPPORT,
+    _entry_rows,
+    _h_and_ng,
+    _packed_rows,
+    _slot_bytes,
+)
 from series_oracles import geometric_inverse, series_mul
 
 
@@ -144,6 +151,52 @@ def test_slot_width_keeps_a_sign_bit(value, width):
     assert _slot_bytes(support, 31) == width
     f = IntSeries(31, dict(support))
     assert _packed_rows(f, 31) == _entry_rows(f, 31)
+
+
+def streamed(kind, order, mod=None):
+    """The h and ng lists of one _h_and_ng stream of the series `kind` at `order`."""
+    h, ng = zip(*_h_and_ng(make_series(SequenceSpec(kind, order)), order, mod))
+    return list(h), list(ng)
+
+
+@pytest.mark.parametrize(
+    "kind, h, ng",
+    [
+        # F = 0: H = 1 and G = 0; d counts as 1, so the list of h is still cut back
+        ("inline:0,0", lambda n: int(n == 0), lambda n: 0),
+        # F = 5x: H = 1/(1-5x) and x G' = 5x/(1-5x)
+        ("inline:5", lambda n: 5**n, lambda n: 5**n if n else 0),
+        # ones: d = order, so no value of h is dropped; H = (1-x)/(1-2x), n*g(n) = 2^n - 1
+        ("ones", lambda n: 2 ** (n - 1) if n else 1, lambda n: 2**n - 1),
+    ],
+)
+def test_stream_closed_forms(kind, h, ng):
+    assert streamed(kind, 150) == ([h(n) for n in range(151)], [ng(n) for n in range(151)])
+    reduced = ([h(n) % 7 for n in range(151)], [ng(n) % 7 for n in range(151)])
+    assert streamed(kind, 150, mod=7) == reduced
+
+
+def test_stream_with_f1_zero_is_padovan_and_perrin():
+    # x^2 + x^3: h(n) = h(n-2) + h(n-3) and n*g(n) = P(n) for n >= 1 (P(0) = 3 is not n*g(0))
+    h, perrin = [1, 0, 1], [3, 0, 2]
+    while len(h) <= 500:
+        h.append(h[-2] + h[-3])
+        perrin.append(perrin[-2] + perrin[-3])
+    assert streamed("inline:0,1,1", 500) == (h, [0] + perrin[1:])
+
+
+def test_stream_with_signed_coefficients_matches_the_table():
+    # d = 7, so the stream cuts its list of h from n = 79 on
+    f = IntSeries(150, {1: -1, 3: 2, 7: -3})
+    rows = compositae_dp(f, 150).rows
+    h, ng = streamed("inline:-1,0,2,0,0,0,-3", 150)
+    assert h == [1] + [sum(row) for row in rows]
+    # n*g(n) = sum_k (n/k) F_delta(n, k)
+    assert ng == [0] + [
+        sum(Fraction(n, k) * v for k, v in enumerate(row, 1)) for n, row in enumerate(rows, 1)
+    ]
+    reduced = streamed("inline:-1,0,2,0,0,0,-3", 150, mod=11)
+    assert reduced == ([v % 11 for v in h], [v % 11 for v in ng])
 
 
 def test_dp_requires_enough_coefficients():

@@ -1,6 +1,7 @@
 """Compositeness witnesses, ground-truth primality, and the scanner."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -416,7 +417,7 @@ def test_generic_scan_rejects_short_series_before_any_witness(monkeypatch):
 
 
 def spy_on_generic_route(monkeypatch):
-    """Fail on any compositae_dp call; return the (order, mod) of each recurrence call."""
+    """Fail on any compositae_dp call; return [order, mod, values taken] per recurrence call."""
     def no_table(*args, **kwargs):
         pytest.fail("the generic witness built a compositae table")
 
@@ -426,8 +427,11 @@ def spy_on_generic_route(monkeypatch):
     real = witnesses._h_and_ng
 
     def counting(f, order, mod=None):
-        calls.append((order, mod))
-        return real(f, order, mod)
+        call = [order, mod, 0]
+        calls.append(call)
+        for values in real(f, order, mod):
+            call[2] += 1
+            yield values
 
     monkeypatch.setattr(witnesses, "_h_and_ng", counting)
     return calls
@@ -437,7 +441,8 @@ def test_generic_scan_runs_one_recurrence_and_no_table(monkeypatch):
     lucas = scan_pseudoprimes("lucas", 10, 60)
     calls = spy_on_generic_route(monkeypatch)
     result = scan_pseudoprimes("generic", 10, 60, series=IntSeries(60, {1: 1, 2: 1}))
-    assert calls == [(60, None)]
+    # one exact stream, read once from n = 0 to 60
+    assert calls == [[60, None, 61]]
     assert (result.pseudoprimes, result.primes_checked, result.composites_checked) == (
         lucas.pseudoprimes,
         lucas.primes_checked,
@@ -448,7 +453,7 @@ def test_generic_scan_runs_one_recurrence_and_no_table(monkeypatch):
 def test_generic_witness_runs_the_recurrence_mod_n(monkeypatch):
     calls = spy_on_generic_route(monkeypatch)
     report = witness_generic(IntSeries(50, {1: 1, 2: 1}), 45)
-    assert calls == [(45, 45)]
+    assert calls == [[45, 45, 46]]
     assert report.residue == witness_lucas(45).residue
 
 
@@ -478,6 +483,35 @@ def test_generic_witness_on_x2_plus_x3_is_the_perrin_test():
     reports = [witness_generic(f, n) for n in range(2, 501)]
     assert [r.residue for r in reports] == [perrin[n] % n for n in range(2, 501)]
     assert not any(r.is_pseudoprime for r in reports)
+
+
+def test_generic_witness_flags_the_second_perrin_pseudoprime():
+    # 904631 = 7 * 13 * 9941, the second composite that passes the Perrin test (OEIS A013998)
+    report = witness_generic(IntSeries(904631, {2: 1, 3: 1}), 904631)
+    assert report.passes
+    assert not report.is_prime_actual
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generic_witness_holds_o_d_values():
+    # A list of all n + 1 values mod n took about 4 MB here.
+    f = IntSeries(50000, {2: 1, 3: 1})
+    assert traced_peak(lambda: witness_generic(f, 50000)) < 1_000_000
+
+
+def test_generic_scan_holds_o_d_values():
+    # Exact lists of h and n*g(n) to hi took about 23 MB here.
+    f = IntSeries(20000, {2: 1, 3: 1})
+    assert traced_peak(lambda: scan_pseudoprimes("generic", 2, 20000, series=f)) < 1_000_000
 
 
 def test_generic_scan_of_fib_gf_to_5000_is_the_lucas_scan():
