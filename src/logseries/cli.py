@@ -20,6 +20,15 @@ Output contract:
     pipe or a closed stream).  Diagnostics go to stderr, one line each.
   - Exact values have no digit limit: main() lifts CPython's int/str
     conversion limit (4300 digits) for the length of the call.
+
+Start-up: the four series routes (compositae_dp, make_series,
+log_superposition, theorem_sum) are imported on first use, and
+`fractions` only by the decoders, so witness and scan with a named test
+load no series code.  The routes stay attributes of this module and are
+called through it, _module, at call time, because bench/tracing.py
+rebinds them here and tests spy on them.  The witness_* imports are
+there only for that tracer, and go once it hooks public entry points
+alone.
 """
 
 from __future__ import annotations
@@ -29,14 +38,10 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from .compositae import CompositaeTable, compositae_dp
-from .sequences import SequenceSpec, make_series
-from .series import IntSeries, RatSeries
-from .superposition import LogSuperposition, log_superposition, theorem_sum
+from . import _lazy
 from .witnesses import (
     GENERIC,
     NAMED_TESTS,
@@ -50,6 +55,21 @@ from .witnesses import (
     witness_generic,
     witness_lucas,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only
+    from fractions import Fraction
+
+    from .compositae import CompositaeTable
+    from .series import IntSeries
+    from .superposition import LogSuperposition
+
+# Imported on first use and called through _module; see the module docstring.
+__getattr__ = _lazy(globals(), {
+    "compositae_dp": "compositae", "make_series": "sequences",
+    "log_superposition": "superposition", "theorem_sum": "superposition",
+})
+_module = sys.modules[__name__]
 
 DEFAULT_ORDER = 64
 
@@ -81,6 +101,8 @@ def table_to_payload(table: CompositaeTable) -> dict:
 
 
 def table_from_payload(payload: dict) -> CompositaeTable:
+    from .compositae import CompositaeTable
+
     return CompositaeTable(
         order=payload["order"],
         rows=tuple(tuple(int(v) for v in row) for row in payload["rows"]),
@@ -97,6 +119,11 @@ def loggf_to_payload(ls: LogSuperposition) -> dict:
 
 
 def loggf_from_payload(payload: dict) -> LogSuperposition:
+    from fractions import Fraction
+
+    from .series import RatSeries
+    from .superposition import LogSuperposition
+
     order = payload["order"]
     g = RatSeries(order, {n: Fraction(s) for n, s in enumerate(payload["g"], start=1)})
     return LogSuperposition(
@@ -157,6 +184,8 @@ def theorem_to_payload(n: int, value: Fraction) -> dict:
 
 
 def theorem_from_payload(payload: dict) -> tuple[int, Fraction, bool]:
+    from fractions import Fraction
+
     return int(payload["n"]), Fraction(payload["value"]), payload["integral"]
 
 
@@ -234,12 +263,14 @@ def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
     order = args.order if args.order is not None else max(DEFAULT_ORDER, at_least)
     if order < at_least:
         raise UsageError(f"--order {order} is below the largest requested n ({at_least})")
-    return make_series(SequenceSpec(kind=args.seq, order=order))
+    from .sequences import SequenceSpec
+
+    return _module.make_series(SequenceSpec(kind=args.seq, order=order))
 
 
 def cmd_compositae(args: argparse.Namespace) -> tuple[int, Emit]:
     f = _build_series(args)
-    table = compositae_dp(f, f.order)
+    table = _module.compositae_dp(f, f.order)
     if args.format == "json":
         return EXIT_OK, _json(
             "compositae", {"seq": args.seq, "order": f.order}, table_to_payload(table)
@@ -251,7 +282,7 @@ def cmd_compositae(args: argparse.Namespace) -> tuple[int, Emit]:
 
 def cmd_loggf(args: argparse.Namespace) -> tuple[int, Emit]:
     f = _build_series(args)
-    ls = log_superposition(f, f.order)
+    ls = _module.log_superposition(f, f.order)
     if args.format == "json":
         return EXIT_OK, _json(
             "loggf", {"seq": args.seq, "order": f.order}, loggf_to_payload(ls)
@@ -263,7 +294,7 @@ def cmd_loggf(args: argparse.Namespace) -> tuple[int, Emit]:
 
 def cmd_theorem(args: argparse.Namespace) -> tuple[int, Emit]:
     f = _build_series(args, at_least=args.n)
-    value = theorem_sum(f, args.n)
+    value = _module.theorem_sum(f, args.n)
     if args.format == "json":
         return EXIT_OK, _json(
             "theorem",

@@ -23,6 +23,14 @@ O(d) values for a support that ends at d, and builds no compositae
 table.  For x^2 + x^3, n*g(n) is the Perrin number P(n), so the
 generic witness is the Perrin test.
 
+Only the generic witness needs series code, so this module imports
+_h_and_ng (and theorem_sum) from their modules on first use: a named
+witness or scan loads neither compositae nor fractions.  _h_and_ng is
+called through _module, this module, at call time, because tests spy on
+it here.  theorem_sum is never called here; bench/tracing.py wraps it in
+this module too, and it goes once the tracer hooks public entry points
+alone.
+
 Ground-truth primality is one gcd with the product of the primes below
 1000, which is exact trial division below 10^6, then fixed-base
 Miller-Rabin above.  The 13 prime bases 2..41 are proven deterministic
@@ -38,13 +46,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import deque
 
+from . import _lazy
 from ._value import Value, set_field
-from .compositae import _h_and_ng
-from .series import IntSeries
-# Not called here; bench/tracing.py wraps this name in this module too.
-from .superposition import theorem_sum
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only
+    from .series import IntSeries
+
+# Imported on first use; see the module docstring.
+__getattr__ = _lazy(globals(), {"_h_and_ng": "compositae", "theorem_sum": "superposition"})
+_module = sys.modules[__name__]
 
 PASSES = "passes"
 COMPOSITE_WITNESSED = "composite-witnessed"
@@ -266,14 +280,9 @@ def _report(n: int, test: str, residue: int, note: str = "") -> WitnessReport:
             "verdict rests on the unproven Baillie-PSW test"
         )
         note = f"{note}; {caveat}" if note else caveat
-    return WitnessReport(
-        n=n,
-        test=test,
-        residue=residue,
-        verdict=PASSES if residue == 0 else COMPOSITE_WITNESSED,
-        is_prime_actual=is_prime(n),
-        note=note,
-    )
+    # Positional arguments: a scan builds one report per n.
+    verdict = PASSES if residue == 0 else COMPOSITE_WITNESSED
+    return WitnessReport(n, test, residue, verdict, is_prime(n), note)
 
 
 def witness_fermat2(n: int) -> WitnessReport:
@@ -416,7 +425,7 @@ def witness_generic(f: IntSeries, n: int, *, series_id: str = "series") -> Witne
         raise ValueError("witness requires n >= 2")
     if n > f.order:
         raise ValueError(f"n={n} exceeds series order {f.order}")
-    ((_, ng),) = deque(_h_and_ng(f, n, mod=n), maxlen=1)
+    ((_, ng),) = deque(_module._h_and_ng(f, n, mod=n), maxlen=1)
     return _generic_report(n, ng, f.coeff(1), series_id)
 
 
@@ -484,7 +493,7 @@ def _witness_for(
             return lambda n: witness_generic(series, n, series_id=series_id)
         if series.order < hi:
             raise ValueError(f"series order {series.order} is below hi={hi}")
-        ngs = enumerate(ng for _, ng in _h_and_ng(series, hi))
+        ngs = enumerate(ng for _, ng in _module._h_and_ng(series, hi))
         f1 = series.coeff(1)
         # The scan asks for ascending n, so each call reads the stream on to n.
         return lambda n: _generic_report(n, next(ng for m, ng in ngs if m == n), f1, series_id)
