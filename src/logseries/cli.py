@@ -24,22 +24,23 @@ Output contract:
 Start-up: the four series routes (compositae_dp, make_series,
 log_superposition, theorem_sum) are imported on first use, and
 `fractions` only by the decoders, so witness and scan with a named test
-load no series code.  The routes stay attributes of this module and are
-called through it, _module, at call time, because bench/tracing.py
-rebinds them here and tests spy on them.  The witness_* imports are
-there only for that tracer, and go once it hooks public entry points
-alone.
+load no series code.  render_json writes JSON scalars itself, with the C
+string encoder from `_json`, so no command imports `json`.  The routes
+stay attributes of this module and are called through it, _module, at
+call time, because bench/tracing.py rebinds them here and tests spy on
+them.  The witness_* imports are there only for that tracer, and go
+once it hooks public entry points alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable, Iterable
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+
+from _json import encode_basestring_ascii  # json.dumps's encoder, without json's decoder
 
 from . import _lazy
 from .witnesses import (
@@ -227,8 +228,16 @@ def _render(write: Write, value, newline: str) -> None:
             _render(write, item, inner)
             sep = "," + inner
         write(newline + "]")
+    elif isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        write("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):  # empty
+        write("{}" if isinstance(value, dict) else "[]")
     else:
-        write(json.dumps(value))
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Conventions:
 
 Rationals are stdlib fractions.Fraction, which already guarantees the
 invariants we need (always reduced, positive denominator, arbitrary
-precision).  Series values are immutable after construction, so they
-are safe to share between threads.  The series algebra (sums, products,
+precision).  `fractions`, which imports `decimal`, is imported only
+where a Fraction is made, so the integer routes (compositae, the generic
+witness and scan) never load it.  Series values are immutable after
+construction, so they are safe to share between threads.  The series algebra (sums, products,
 derivatives, composition) is not needed on the production route, which
 goes through the compositae triangle; the tests keep it as an oracle.
 """
@@ -21,12 +23,15 @@ goes through the compositae triangle; the tests keep it as an oracle.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from types import MappingProxyType
 
 from ._value import Value, set_field
 
-RationalLike = int | Fraction
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # names for annotations only
+    from fractions import Fraction
+
+    RationalLike = int | Fraction
 
 # Default coefficients: read-only, and never stored, since every series
 # copies its coefficients into a fresh dict.
@@ -74,7 +79,7 @@ class IntSeries(Value):
         return self.coeffs.get(n, 0)
 
     def to_rat(self) -> RatSeries:
-        return RatSeries(self.order, {n: Fraction(c) for n, c in self.coeffs.items()})
+        return RatSeries(self.order, self.coeffs)
 
 
 class RatSeries(Value):
@@ -87,6 +92,8 @@ class RatSeries(Value):
     def __init__(self, order: int, coeffs: Mapping[int, RationalLike] = _NO_COEFFS) -> None:
         if order < 0:
             raise ValueError("RatSeries order must be >= 0")
+        from fractions import Fraction
+
         out: dict[int, Fraction] = {}
         for idx, value in coeffs.items():
             if not isinstance(idx, int) or idx < 0 or idx > order:
@@ -100,6 +107,8 @@ class RatSeries(Value):
     def coeff(self, n: int) -> Fraction:
         if n < 0 or n > self.order:
             raise IndexError(f"index {n} outside 0..{self.order}")
+        from fractions import Fraction
+
         return self.coeffs.get(n, Fraction(0))
 
 
@@ -127,4 +136,6 @@ class LogSeries(Value):
 
     def to_rat(self) -> RatSeries:
         """Materialize to the rational series c(n) = a(n)/n, c(0) = 0."""
+        from fractions import Fraction
+
         return RatSeries(self.order, {n: Fraction(v, n) for n, v in self.a.items()})

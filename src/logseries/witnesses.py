@@ -32,14 +32,20 @@ this module too, and it goes once the tracer hooks public entry points
 alone.
 
 Ground-truth primality is one gcd with the product of the primes below
-1000, which is exact trial division below 10^6, then fixed-base
-Miller-Rabin above.  The 13 prime bases 2..41 are proven deterministic
-for n < 3317044064679887385961981 (Sorenson and Webster, 2017), so
-witness verdicts are checked against an independent fact there.  From
-that bound on, a strong Lucas test with Selfridge's parameters follows
-the bases, which makes the whole test Baillie-PSW: no composite is known
-to pass it, but none is proven not to, so the ground truth there is only
-probable, and each report's note says so.
+1000, which is exact trial division below 10^6, then Miller-Rabin with
+the first t prime bases above.  Each t is proven deterministic below a
+bound (psi_t, OEIS A014233), and n takes the first range it lies in:
+
+    t = 7, bases 2..17:  n < 341550071728321 (Jaeschke, Math. Comp. 61, 1993)
+    t = 9, bases 2..23:  n < 3825123056546413051 (Jiang and Deng, Math. Comp. 83, 2014)
+    t = 13, bases 2..41: n < 3317044064679887385961981 (Sorenson and Webster,
+                         Math. Comp. 86, 2017)
+
+so witness verdicts are checked against an independent fact there.  From
+the last bound on, a strong Lucas test with Selfridge's parameters
+follows the 13 bases, which makes the whole test Baillie-PSW: no
+composite is known to pass it, but none is proven not to, so the ground
+truth there is only probable, and each report's note says so.
 """
 
 from __future__ import annotations
@@ -90,8 +96,10 @@ _SMALL_PRIMES = tuple(itertools.compress(range(_SMALL_PRIME_BOUND), _SMALL_PRIME
 _SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
 _TRIAL_DIVISION_BOUND = _SMALL_PRIME_BOUND**2
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Below this, the bases above decide primality; at or above it a strong Lucas
-# test runs too (Baillie-PSW), and a True is probable.
+# Below psi_7 and psi_9 the first 7 and 9 bases decide primality.  From
+# the last bound on a strong Lucas test runs too, and a True is probable.
+_PSI_7 = 341550071728321
+_PSI_9 = 3825123056546413051
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 # witness_central_binomial falls back to a sieve of [0, 2n-1], one byte per
@@ -109,9 +117,12 @@ def is_prime(n: int) -> bool:
 
     The trial division is one gcd with the product of the primes below
     1000: a composite below 10^6 has such a factor, and above 10^6 the
-    same gcd removes most composites before Miller-Rabin runs.
-    Deterministic for n < 3317044064679887385961981.  From there on a
-    strong Lucas test follows (Baillie-PSW), and a True means only
+    same gcd removes most composites before Miller-Rabin runs, with
+    prime bases that are proven deterministic at n (OEIS A014233): 2..17
+    below psi_7 = 341550071728321 (Jaeschke 1993), 2..23 below psi_9 =
+    3825123056546413051 (Jiang and Deng 2014), and 2..41 below
+    3317044064679887385961981 (Sorenson and Webster 2017).  From there
+    on a strong Lucas test follows (Baillie-PSW), and a True means only
     "probable prime"; a False is always a proof of compositeness.
     """
     if n < _SMALL_PRIME_BOUND:
@@ -126,19 +137,24 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Strong probable-prime test of odd n > 41 to every base in _MR_BASES."""
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
+    """Strong probable-prime test of odd n > 41 to the first 7 of _MR_BASES
+    below psi_7, the first 9 below psi_9, and all 13 from there on."""
+    if n < _PSI_7:
+        bases = _MR_BASES[:7]
+    elif n < _PSI_9:
+        bases = _MR_BASES[:9]
+    else:
+        bases = _MR_BASES
+    minus_one = n - 1
+    s = (minus_one & -minus_one).bit_length() - 1
+    d = minus_one >> s
+    for a in bases:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
+        if x == 1 or x == minus_one:
             continue
         for _ in range(s - 1):
             x = x * x % n
-            if x == n - 1:
+            if x == minus_one:
                 break
         else:
             return False
@@ -205,24 +221,36 @@ def _strong_lucas(n: int) -> bool:
 
 
 def lucas_number(n: int, mod: int | None = None) -> int:
-    """L(n), n >= 1, by a doubling ladder over the bits of n.
+    """L(n), n >= 1, by a doubling ladder over the bits of k = n >> 1.
 
-    Each step maps (L(k), L(k+1)) to the pair at 2k or 2k+1 through
-    L(2k) = L(k)^2 - 2q and L(2k+1) = L(k)L(k+1) - q, with q = (-1)^k.
-    With `mod` every step is reduced, so the full L(n) is never
-    materialized; without it the exact integer is returned.
+    The ladder walks the pair (V(k), V(k+1)) of the Lucas sequence of
+    x^2 - 3x + 1, whose roots are the squares of those of x^2 - x - 1,
+    so V(k) = L(2k), through
+
+        V(2k) = V(k)^2 - 2,   V(2k+1) = V(k) V(k+1) - 3,
+
+    and returns L(2k) = V(k) or L(2k+1) = V(k+1) - V(k).  Its Q is 1, so
+    no (-1)^k sign is carried.  With `mod` every step is reduced, so the
+    full L(n) is never materialized; without it the exact integer is
+    returned.
     """
     if n < 1:
         raise ValueError("Lucas numbers are indexed from 1 here")
-    a, b, q = 2, 1, 1  # L(k), L(k+1), (-1)^k at k = 0
-    for bit in bin(n)[2:]:
+    bits = bin(n >> 1)[2:]
+    a, b = 2, 3  # V(0), V(1)
+    if mod is None:
+        for bit in bits:
+            if bit == "1":
+                a, b = a * b - 3, b * b - 2
+            else:
+                a, b = a * a - 2, a * b - 3
+        return b - a if n & 1 else a
+    for bit in bits:
         if bit == "1":
-            a, b, q = a * b - q, b * b + 2 * q, -1
+            a, b = (a * b - 3) % mod, (b * b - 2) % mod
         else:
-            a, b, q = a * a - 2 * q, a * b - q, 1
-        if mod is not None:
-            a, b = a % mod, b % mod
-    return a
+            a, b = (a * a - 2) % mod, (a * b - 3) % mod
+    return (b - a if n & 1 else a) % mod
 
 
 class WitnessReport(Value):

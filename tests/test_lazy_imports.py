@@ -21,21 +21,15 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 NAMED = {"logseries", "logseries._value", "logseries.cli", "logseries.witnesses"}
-SERIES = NAMED | {
-    "logseries.compositae",
-    "logseries.sequences",
-    "logseries.series",
-    "fractions",
-    "decimal",
-}
-EVERYTHING = SERIES | {"logseries.superposition"}
+SERIES = NAMED | {"logseries.compositae", "logseries.sequences", "logseries.series"}
+EVERYTHING = SERIES | {"logseries.superposition", "fractions", "decimal"}
 
 LOADED_AFTER_MAIN = """
 import contextlib, io, sys
 from logseries import cli
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(sys.argv[1:])
-watched = ("fractions", "decimal")
+watched = ("fractions", "decimal", "json")
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "logseries" or m in watched)))
 """
 

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,56 @@ def test_is_prime_large_values(n, expected):
     assert is_prime(n) is expected
 
 
+# psi_t, the least strong pseudoprime to the first t prime bases (OEIS A014233),
+# t = 4..9; psi_8 = psi_7.  Miller-Rabin runs 7 bases below PSI_7 and 9 below PSI_9.
+PSI_4, PSI_5, PSI_6 = 3215031751, 2152302898747, 3474749660383
+PSI_7, PSI_9 = 341550071728321, 3825123056546413051
+
+
+@pytest.mark.parametrize("psi", [PSI_4, PSI_5, PSI_6, PSI_7, PSI_9])
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_is_prime_at_the_miller_rabin_base_bounds(psi, offset):
+    assert is_prime(psi + offset) is sympy.isprime(psi + offset)
+
+
+def test_psi_7_passes_fermat2_and_falls_to_the_ninth_base():
+    # 10670053 * 32010157 is a strong pseudoprime to every base 2..17
+    assert PSI_7 == 10670053 * 32010157
+    report = witness_fermat2(PSI_7)
+    assert report.is_pseudoprime and report.note == ""
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=10**6, max_value=4 * 10**18))
+def test_is_prime_matches_sympy_up_to_4e18(n):
+    assert is_prime(n) is sympy.isprime(n)
+    p = sympy.nextprime(n)
+    assert is_prime(p) and not is_prime(p * p)
+
+
+@pytest.mark.parametrize(
+    "n,count",
+    [
+        (sympy.prevprime(PSI_7), 7),
+        (sympy.nextprime(PSI_7), 9),
+        (sympy.prevprime(PSI_9), 9),
+        (sympy.nextprime(PSI_9), 13),
+        (sympy.prevprime(3317044064679887385961981), 13),  # the last n without Baillie-PSW
+    ],
+)
+def test_miller_rabin_runs_the_bases_proven_at_n(monkeypatch, n, count):
+    # a prime passes every base it is tested to, so each base calls pow(a, d, n) once
+    bases = []
+
+    def spy(a, d, m):
+        bases.append(a)
+        return pow(a, d, m)
+
+    monkeypatch.setattr(witnesses, "pow", spy, raising=False)
+    assert witnesses._miller_rabin(n)
+    assert bases == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41][:count]
+
+
 # ---------------------------------------------------------------------------
 # Lucas numbers
 
@@ -115,6 +166,32 @@ def test_lucas_modular_agrees_with_plain_iteration(n, mod):
     for _ in range(n - 1):
         a, b = b, (a + b) % mod
     assert lucas_number(n, mod) == a
+
+
+def lucas_by_fibonacci_doubling(n, mod):
+    """L(n) mod `mod` as 2F(n+1) - F(n), with F by fast doubling:
+    F(2k) = F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
+    f, g = 0, 1  # F(k), F(k+1) at k = 0
+    for bit in bin(n)[2:]:
+        f, g = f * (2 * g - f) % mod, (f * f + g * g) % mod
+        if bit == "1":
+            f, g = g, (f + g) % mod
+    return (2 * g - f) % mod
+
+
+def test_lucas_matches_fibonacci_doubling_around_powers_of_two():
+    # both parities of n, and both parities of k = n >> 1, at every bit length to 70
+    around = {2**j + d for j in range(2, 70) for d in (-2, -1, 0, 1, 2)}
+    for n in sorted(around | {1, 2, 3}):
+        for mod in (2, 3, 5, n, n + 1):
+            assert lucas_number(n, mod) == lucas_by_fibonacci_doubling(n, mod), (n, mod)
+        if n < 2**12:  # L(n) < 2^n, so reduced mod 2^n it is exact
+            assert lucas_number(n) == lucas_by_fibonacci_doubling(n, 2**n), n
+
+
+def test_lucas_matches_fibonacci_doubling_in_a_window_at_1e15():
+    for n in range(10**15, 10**15 + 4000):
+        assert lucas_number(n, n) == lucas_by_fibonacci_doubling(n, n), n
 
 
 def test_lucas_rejects_nonpositive_index():
