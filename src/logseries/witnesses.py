@@ -15,13 +15,14 @@ for any n:
     shifted Catalan:        residue of C(2n-1, n-1) - 1   (central-binomial)
 
 The central-binomial residue is computed one prime power q^a || n at a
-time (Lucas, Jacobsthal, Kummer) and joined by the Chinese remainder
-theorem; see witness_central_binomial.  Any other series takes the
-generic witness, which streams n*g(n) off the derivative recurrence
-G' = F'/(1-F) (compositae._h_and_ng) in O(n * |supp f|) steps, holding
-O(d) values for a support that ends at d, and builds no compositae
-table.  For x^2 + x^3, n*g(n) is the Perrin number P(n), so the
-generic witness is the Perrin test.
+time (Lucas's theorem for a = 1, the q-free parts of the factorials mod
+q^a otherwise) and joined by the Chinese remainder theorem; see
+witness_central_binomial.  Any other series takes the generic witness,
+which streams n*g(n) off the derivative recurrence G' = F'/(1-F)
+(compositae._h_and_ng) in O(n * |supp f|) steps, holding O(d) values
+for a support that ends at d, and builds no compositae table.  For
+x^2 + x^3, n*g(n) is the Perrin number P(n), so the generic witness is
+the Perrin test.
 
 Only the generic witness needs series code, so this module imports
 _h_and_ng (and theorem_sum) from their modules on first use: a named
@@ -38,8 +39,9 @@ bound (psi_t, OEIS A014233), and n takes the first range it lies in:
 
     t = 7, bases 2..17:  n < 341550071728321 (Jaeschke, Math. Comp. 61, 1993)
     t = 9, bases 2..23:  n < 3825123056546413051 (Jiang and Deng, Math. Comp. 83, 2014)
-    t = 13, bases 2..41: n < 3317044064679887385961981 (Sorenson and Webster,
+    t = 12, bases 2..37: n < 318665857834031151167461 (Sorenson and Webster,
                          Math. Comp. 86, 2017)
+    t = 13, bases 2..41: n < 3317044064679887385961981 (the same)
 
 so witness verdicts are checked against an independent fact there.  From
 the last bound on, a strong Lucas test with Selfridge's parameters
@@ -96,19 +98,15 @@ _SMALL_PRIMES = tuple(itertools.compress(range(_SMALL_PRIME_BOUND), _SMALL_PRIME
 _SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
 _TRIAL_DIVISION_BOUND = _SMALL_PRIME_BOUND**2
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Below psi_7 and psi_9 the first 7 and 9 bases decide primality.  From
-# the last bound on a strong Lucas test runs too, and a True is probable.
-_PSI_7 = 341550071728321
-_PSI_9 = 3825123056546413051
+# (psi_t, t): below psi_t the first t bases decide primality; all 13 do below
+# the bound, and from the bound on a strong Lucas test runs too (probable).
+_MR_BASE_COUNTS = ((341550071728321, 7), (3825123056546413051, 9), (318665857834031151167461, 12))
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
-# witness_central_binomial falls back to a sieve of [0, 2n-1], one byte per
-# integer, when 4 or 9 divides n and the binomial has too few factors of 2
-# or 3 (powers of 2 and of 3 always do), so n is capped to keep that buffer
-# at 200 MB.  At n = 99999744 = 2^13 * 12207, the largest such n below the
-# cap, the process peaks at about 244 MB (ru_maxrss, CPython 3.11): the
-# sieve, the n/3-byte block that clears the odd multiples of 3, and the
-# interpreter.
+# witness_central_binomial holds O(log n) values, but for q^a || n with q in
+# {2, 3} and a >= 2 it takes O(q^a) steps, so n is capped for time: n = 2^26,
+# the worst case below the cap, takes 2.5-3.2 s (CPython 3.11, 2 vCPUs),
+# and 2^40 would take hours.
 CENTRAL_BINOMIAL_MAX_N = 10**8
 
 
@@ -120,10 +118,11 @@ def is_prime(n: int) -> bool:
     same gcd removes most composites before Miller-Rabin runs, with
     prime bases that are proven deterministic at n (OEIS A014233): 2..17
     below psi_7 = 341550071728321 (Jaeschke 1993), 2..23 below psi_9 =
-    3825123056546413051 (Jiang and Deng 2014), and 2..41 below
-    3317044064679887385961981 (Sorenson and Webster 2017).  From there
-    on a strong Lucas test follows (Baillie-PSW), and a True means only
-    "probable prime"; a False is always a proof of compositeness.
+    3825123056546413051 (Jiang and Deng 2014), 2..37 below psi_12 =
+    318665857834031151167461 and 2..41 below 3317044064679887385961981
+    (Sorenson and Webster 2017).  From there on a strong Lucas test
+    follows (Baillie-PSW), and a True means only "probable prime"; a
+    False is always a proof of compositeness.
     """
     if n < _SMALL_PRIME_BOUND:
         return n >= 2 and _SMALL_PRIME_FLAGS[n] == 1
@@ -137,18 +136,13 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Strong probable-prime test of odd n > 41 to the first 7 of _MR_BASES
-    below psi_7, the first 9 below psi_9, and all 13 from there on."""
-    if n < _PSI_7:
-        bases = _MR_BASES[:7]
-    elif n < _PSI_9:
-        bases = _MR_BASES[:9]
-    else:
-        bases = _MR_BASES
+    """Strong probable-prime test of odd n > 41 to the first t of _MR_BASES,
+    for the first (psi_t, t) of _MR_BASE_COUNTS with n < psi_t, else all 13."""
+    count = next((t for psi, t in _MR_BASE_COUNTS if n < psi), len(_MR_BASES))
     minus_one = n - 1
     s = (minus_one & -minus_one).bit_length() - 1
     d = minus_one >> s
-    for a in bases:
+    for a in _MR_BASES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == minus_one:
             continue
@@ -334,21 +328,19 @@ def witness_central_binomial(n: int) -> WitnessReport:
     CB(m) = C(2m-1, m-1), the residue of CB(n) mod q^a comes from:
 
     - a = 1: Lucas's theorem on the base-q digits of 2n-1 and n-1;
-    - q >= 5: Jacobsthal's congruence C(2mq, mq) = C(2m, m) mod
-      q^(3 + 3 v_q(m)), which for odd q gives CB(n/q^i) = CB(n/q^(i+1))
-      mod q^(3(a-i)).  Chained j = min(a, floor(2a/3) + 1) times it holds
-      mod q^(3(a-j+1)), at least q^a, so CB(n) = CB(n/q^j) mod q^a, and
-      the Legendre product below runs on n/q^j instead of n;
-    - q in {2, 3}, a >= 2: 0 if v_q(CB(n)), Kummer's count of carries
-      when n-1 and n are added in base q, is at least a; otherwise the
-      Legendre product on n itself, mod q^a.
+    - a >= 2: CB(m) mod q^a from the q-free parts of its factorials
+      (_central_binomial_mod_prime_power), at m = n for q in {2, 3}.  For
+      q >= 5, Jacobsthal's congruence C(2mq, mq) = C(2m, m) mod
+      q^(3 + 3 v_q(m)) gives CB(n/q^i) = CB(n/q^(i+1)) mod q^(3(a-i)).
+      Chained j = min(a, floor(2a/3) + 1) times it holds mod
+      q^(3(a-j+1)), at least q^a, so CB(n) = CB(n/q^j) mod q^a: m = n/q^j.
 
-    The residues are joined by the Chinese remainder theorem.  Only the
-    last case sieves to 2n-1 (powers of 2 and of 3 always take it), so n
-    is still limited to CENTRAL_BINOMIAL_MAX_N (10**8, a 200 MB sieve and
-    a peak of about 244 MB); a larger n raises ValueError before anything
-    is allocated.  References: Granville, "Binomial coefficients modulo
-    prime powers" (1997).
+    The residues are joined by the Chinese remainder theorem.  Every route
+    holds O(log n) values, but for q in {2, 3} the second takes O(q^a)
+    steps, so n is limited to CENTRAL_BINOMIAL_MAX_N (10**8; n = 2^26
+    takes about 3 s); a larger n raises ValueError before any work.
+    References: Granville, "Binomial coefficients modulo prime powers"
+    (1997).
     """
     if n < 2:
         raise ValueError("witness requires n >= 2")
@@ -358,12 +350,9 @@ def witness_central_binomial(n: int) -> WitnessReport:
         qa = q**a
         if a == 1:
             r = _binomial_mod_prime(2 * n - 1, n - 1, q)
-        elif q >= 5:
-            r = _central_binomial_legendre(n // q ** min(a, 2 * a // 3 + 1), qa)
-        elif _central_binomial_valuation(n, q) >= a:
-            r = 0
         else:
-            r = _central_binomial_legendre(n, qa)
+            j = min(a, 2 * a // 3 + 1) if q >= 5 else 0
+            r = _central_binomial_mod_prime_power(n // q**j, q, a)
         residue += modulus * ((r - residue) * pow(modulus, -1, qa) % qa)
         modulus *= qa
     return _report(n, CENTRAL_BINOMIAL, (residue - 1) % n)
@@ -398,37 +387,41 @@ def _binomial_mod_prime(top: int, k: int, q: int) -> int:
     return result
 
 
-def _central_binomial_valuation(m: int, p: int) -> int:
-    """v_p(C(2m-1, m-1)) by Legendre's formula, the sum over the powers p^i <= 2m-1."""
-    top, e, pi = 2 * m - 1, 0, p
-    while pi <= top:
-        e += top // pi - (m - 1) // pi - m // pi
-        pi *= p
-    return e
+def _central_binomial_mod_prime_power(m: int, q: int, a: int) -> int:
+    """C(2m-1, m-1) mod q^a, a >= 2, from the q-free parts of its factorials.
 
-
-def _central_binomial_legendre(m: int, mod: int) -> int:
-    """C(2m-1, m-1) mod `mod`, from the binomial's factorization.
-
-    C(2m-1, m-1) is the product of p^e_p over the primes p <= 2m-1, with
-    e_p its p-adic valuation (Legendre's formula).  That is an exact
-    factorization of the integer, so reducing it mod `mod` is valid for
-    every modulus.  The primes come from a sieve of one byte per integer
-    up to 2m-1.
+    With v = v_q(C(2m-1, m-1)) < a it is q^v U(2m-1) / (U(m-1) U(m)),
+    where U(N) = N!/q^v_q(N!) is the product of u(floor(N/q^i)), i >= 0,
+    and u(k) is the product of the j <= k prime to q.  Mod q^a, u(k) =
+    eps^floor(k/q^a) u(k mod q^a) with eps = u(q^a - 1) = -1, or +1 for
+    q = 2, a >= 3 (Gauss's generalization of Wilson's theorem).  One pass
+    below q^a, seeded with u(q^a - 1), gives every u needed: O(q^a) steps,
+    O(log m) values held.
     """
-    if m == 1:
-        return 1 % mod
-    top = 2 * m - 1
-    flags = _prime_flags(top + 1)
-    root = math.isqrt(top)
-    product = 1
-    for p in itertools.compress(range(root + 1), flags):
-        product = product * pow(p, _central_binomial_valuation(m, p), mod) % mod
-    # Above sqrt(2m-1) Legendre's sum has one term, and it is 0 or 1.
-    for p in itertools.compress(range(root + 1, top + 1), itertools.islice(flags, root + 1, None)):
-        if top // p - (m - 1) // p - m // p:
-            product = product * p % mod
-    return product % mod
+    # floor(N/q^i), i >= 0, for the numerator (2m-1)! and the denominator (m-1)! m!
+    top, bottom = [], []
+    for k, ks in ((2 * m - 1, top), (m - 1, bottom), (m, bottom)):
+        while k:
+            ks.append(k)
+            k //= q
+    # v_q(N!) is the sum of floor(N/q^i) over i >= 1 (Legendre), and the
+    # i = 0 terms cancel: (2m-1) - (m-1) - m = 0.
+    v = sum(top) - sum(bottom)
+    if v >= a:
+        return 0
+    qa = q**a
+    eps = 1 if q == 2 and a >= 3 else -1
+    u, acc, lo = {qa - 1: eps}, 1, 1
+    for k in sorted({k % qa for k in top + bottom} - u.keys()):
+        for j in range(lo, k + 1):
+            if j % q:
+                acc = acc * j % qa
+        u[k], lo = acc, k + 1
+
+    def free_part(ks: list[int]) -> int:
+        return math.prod(u[k % qa] * (eps if k // qa & 1 else 1) for k in ks)
+
+    return q**v * free_part(top) * pow(free_part(bottom), -1, qa) % qa
 
 
 def _check_central_binomial_n(n: int) -> None:

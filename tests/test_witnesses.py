@@ -1,5 +1,6 @@
 """Compositeness witnesses, ground-truth primality, and the scanner."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -93,12 +94,14 @@ def test_is_prime_large_values(n, expected):
 
 
 # psi_t, the least strong pseudoprime to the first t prime bases (OEIS A014233),
-# t = 4..9; psi_8 = psi_7.  Miller-Rabin runs 7 bases below PSI_7 and 9 below PSI_9.
+# t = 4..9 and 12; psi_8 = psi_7, psi_10 = psi_11 = psi_12.  Miller-Rabin runs
+# 7 bases below PSI_7, 9 below PSI_9 and 12 below PSI_12.
 PSI_4, PSI_5, PSI_6 = 3215031751, 2152302898747, 3474749660383
 PSI_7, PSI_9 = 341550071728321, 3825123056546413051
+PSI_12 = 318665857834031151167461
 
 
-@pytest.mark.parametrize("psi", [PSI_4, PSI_5, PSI_6, PSI_7, PSI_9])
+@pytest.mark.parametrize("psi", [PSI_4, PSI_5, PSI_6, PSI_7, PSI_9, PSI_12])
 @pytest.mark.parametrize("offset", [-2, 0, 2])
 def test_is_prime_at_the_miller_rabin_base_bounds(psi, offset):
     assert is_prime(psi + offset) is sympy.isprime(psi + offset)
@@ -125,7 +128,9 @@ def test_is_prime_matches_sympy_up_to_4e18(n):
         (sympy.prevprime(PSI_7), 7),
         (sympy.nextprime(PSI_7), 9),
         (sympy.prevprime(PSI_9), 9),
-        (sympy.nextprime(PSI_9), 13),
+        (sympy.nextprime(PSI_9), 12),
+        (sympy.prevprime(PSI_12), 12),
+        (sympy.nextprime(PSI_12), 13),
         (sympy.prevprime(3317044064679887385961981), 13),  # the last n without Baillie-PSW
     ],
 )
@@ -260,19 +265,55 @@ def test_central_binomial_factor_route_matches_exact_binomial(q, a, m):
     assert witness_central_binomial(n).residue == _central_binomial_oracle(n)
 
 
-def test_central_binomial_powers_of_2_and_3_take_the_legendre_fallback(monkeypatch):
+def test_central_binomial_powers_of_2_and_3_take_the_prime_power_route(monkeypatch):
     calls = []
-    real = witnesses._central_binomial_legendre
+    real = witnesses._central_binomial_mod_prime_power
 
-    def spy(m, mod):
-        calls.append((m, mod))
-        return real(m, mod)
+    def spy(m, q, a):
+        calls.append((m, q, a))
+        return real(m, q, a)
 
-    monkeypatch.setattr(witnesses, "_central_binomial_legendre", spy)
-    for n in [2**a for a in range(2, 15)] + [3**a for a in range(2, 10)]:
+    monkeypatch.setattr(witnesses, "_central_binomial_mod_prime_power", spy)
+    for q, a in [(2, a) for a in range(2, 15)] + [(3, a) for a in range(2, 10)]:
+        n = q**a
         calls.clear()
         assert witness_central_binomial(n).residue == _central_binomial_oracle(n), n
-        assert calls == [(n, n)]
+        assert calls == [(n, q, a)]
+
+
+def _legendre_central_binomial(m, mod):
+    """C(2m-1, m-1) mod `mod` as the product of p^e_p over the primes p <= 2m-1,
+    e_p by Legendre's formula: an exact factorization, so valid for any modulus."""
+    top, product = 2 * m - 1, 1
+    flags = bytearray(b"\0\0") + bytearray(b"\1") * (top - 1)
+    for p in range(2, math.isqrt(top) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    for p in itertools.compress(range(top + 1), flags):
+        e, pi = 0, p
+        while pi <= top:
+            e += top // pi - (m - 1) // pi - m // pi
+            pi *= p
+        product = product * pow(p, e, mod) % mod
+    return product % mod
+
+
+def test_central_binomial_large_powers_of_2_and_3_match_the_legendre_product():
+    # math.comb is too slow here: C(2^21 - 1, 2^20 - 1) has about 10^6 bits
+    for n in [2**a for a in range(15, 21)] + [3**a for a in range(10, 13)]:
+        assert witness_central_binomial(n).residue == (_legendre_central_binomial(n, n) - 1) % n, n
+
+
+def test_legendre_product_oracle_matches_exact_binomial():
+    for mod in (4, 27, 2**10 * 3**5, 10**9 + 7):
+        for m in range(1, 200):
+            assert _legendre_central_binomial(m, mod) == math.comb(2 * m - 1, m - 1) % mod
+
+
+@pytest.mark.parametrize("n", [2**17, 3**11])
+def test_central_binomial_holds_o_log_n_values(n):
+    # A sieve of [0, 2n-1] peaked at 342 KiB (2^17) and 462 KiB (3^11).
+    assert traced_peak(lambda: witness_central_binomial(n)) < 32 * 1024
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 37, 101, 463])
@@ -292,10 +333,11 @@ def test_central_binomial_27173_is_the_square_free_passer():
     assert _central_binomial_oracle(27173) == 0
 
 
-def test_central_binomial_legendre_product_matches_exact_binomial():
-    for mod in (2, 4, 8, 3, 9, 27, 25, 49, 2**10 * 3**5, 10**9 + 7):
+def test_central_binomial_mod_prime_power_matches_exact_binomial():
+    for q, a in ((2, 2), (2, 3), (2, 10), (3, 2), (3, 5), (5, 2), (7, 3)):
         for m in range(1, 300):
-            assert witnesses._central_binomial_legendre(m, mod) == math.comb(2 * m - 1, m - 1) % mod, (m, mod)
+            expected = math.comb(2 * m - 1, m - 1) % q**a
+            assert witnesses._central_binomial_mod_prime_power(m, q, a) == expected, (m, q, a)
 
 
 @settings(max_examples=60)
