@@ -22,8 +22,8 @@ Output contract:
     conversion limit (4300 digits) for the length of the call.
 
 Start-up: the four series routes (compositae_dp, make_series,
-log_superposition, theorem_sum) are imported on first use, and
-`fractions` only by the decoders, so witness and scan with a named test
+log_superposition, theorem_sum) are imported on first use, and this
+module imports `fractions` nowhere, so witness and scan with a named test
 load no series code.  render_json writes JSON scalars itself, with the C
 string encoder from `_json`, so no command imports `json`.  The routes
 stay attributes of this module and are called through it, _module, at
@@ -46,8 +46,7 @@ from . import _lazy
 from .witnesses import (
     GENERIC,
     NAMED_TESTS,
-    ScanResult,
-    WitnessReport,
+    _check_scan_range,
     _witness_for,
     scan_pseudoprimes,
     # Not called here; bench/tracing.py wraps these names in this module too.
@@ -64,6 +63,7 @@ if TYPE_CHECKING:  # names for annotations only
     from .compositae import CompositaeTable
     from .series import IntSeries
     from .superposition import LogSuperposition
+    from .witnesses import ScanResult, WitnessReport
 
 # Imported on first use and called through _module; see the module docstring.
 __getattr__ = _lazy(globals(), {
@@ -85,10 +85,8 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs.  Exact values are decimal strings in the JSON: an encoder
-# gives one value as its str() and a list of them as Decimals.  The paired
-# decoders read values through int() or Fraction(), so the numbers or their
-# decimal strings decode; the round-trip tests exercise both directions.
+# JSON encoders.  Exact values are decimal strings in the JSON: an encoder
+# gives one value as its str() and a list of them as Decimals.
 
 class Decimals(tuple):
     """Exact numbers (ints, Fractions) that render_json writes as a list of
@@ -101,15 +99,6 @@ def table_to_payload(table: CompositaeTable) -> dict:
     return {"order": table.order, "rows": list(map(Decimals, table.rows))}
 
 
-def table_from_payload(payload: dict) -> CompositaeTable:
-    from .compositae import CompositaeTable
-
-    return CompositaeTable(
-        order=payload["order"],
-        rows=tuple(tuple(int(v) for v in row) for row in payload["rows"]),
-    )
-
-
 def loggf_to_payload(ls: LogSuperposition) -> dict:
     return {
         "order": ls.order,
@@ -117,22 +106,6 @@ def loggf_to_payload(ls: LogSuperposition) -> dict:
         "g": Decimals(ls.g.coeff(n) for n in range(1, ls.order + 1)),
         "h": Decimals(ls.h),
     }
-
-
-def loggf_from_payload(payload: dict) -> LogSuperposition:
-    from fractions import Fraction
-
-    from .series import RatSeries
-    from .superposition import LogSuperposition
-
-    order = payload["order"]
-    g = RatSeries(order, {n: Fraction(s) for n, s in enumerate(payload["g"], start=1)})
-    return LogSuperposition(
-        order=order,
-        g=g,
-        ng=tuple(int(v) for v in payload["ng"]),
-        h=tuple(int(v) for v in payload["h"]),
-    )
 
 
 def witness_to_payload(report: WitnessReport) -> dict:
@@ -147,17 +120,6 @@ def witness_to_payload(report: WitnessReport) -> dict:
     }
 
 
-def witness_from_payload(payload: dict) -> WitnessReport:
-    return WitnessReport(
-        n=int(payload["n"]),
-        test=payload["test"],
-        residue=int(payload["residue"]),
-        verdict=payload["verdict"],
-        is_prime_actual=payload["is_prime_actual"],
-        note=payload.get("note", ""),
-    )
-
-
 def scan_to_payload(result: ScanResult) -> dict:
     return {
         "lo": str(result.lo),
@@ -169,25 +131,8 @@ def scan_to_payload(result: ScanResult) -> dict:
     }
 
 
-def scan_from_payload(payload: dict) -> ScanResult:
-    return ScanResult(
-        lo=int(payload["lo"]),
-        hi=int(payload["hi"]),
-        test=payload["test"],
-        pseudoprimes=tuple(map(int, payload["pseudoprimes"])),
-        primes_checked=payload["primes_checked"],
-        composites_checked=payload["composites_checked"],
-    )
-
-
 def theorem_to_payload(n: int, value: Fraction) -> dict:
     return {"n": str(n), "value": str(value), "integral": value.denominator == 1}
-
-
-def theorem_from_payload(payload: dict) -> tuple[int, Fraction, bool]:
-    from fractions import Fraction
-
-    return int(payload["n"]), Fraction(payload["value"]), payload["integral"]
 
 
 Write = Callable[[str], object]
@@ -270,11 +215,12 @@ def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
     if args.seq is None:
         raise UsageError("--seq is required for this command")
     order = args.order if args.order is not None else max(DEFAULT_ORDER, at_least)
-    if order < at_least:
-        raise UsageError(f"--order {order} is below the largest requested n ({at_least})")
     from .sequences import SequenceSpec
 
-    return _module.make_series(SequenceSpec(kind=args.seq, order=order))
+    spec = SequenceSpec(kind=args.seq, order=order)  # checks order >= 1 and the kind
+    if order < at_least:
+        raise UsageError(f"--order {order} is below the largest requested n ({at_least})")
+    return _module.make_series(spec)
 
 
 def cmd_compositae(args: argparse.Namespace) -> tuple[int, Emit]:
@@ -339,6 +285,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, Emit]:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, Emit]:
+    _check_scan_range(args.lo, args.hi, args.threads)  # before a generic series is built
     series = None
     if args.test == GENERIC:
         series = _build_series(args, at_least=args.hi)

@@ -250,16 +250,15 @@ def lucas_number(n: int, mod: int | None = None) -> int:
 class WitnessReport(Value):
     """Outcome of one compositeness test at one n, with exact evidence.
 
-    residue is the tested quantity reduced mod n; verdict is `passes`
-    iff residue == 0.  is_prime_actual comes from the deterministic
-    primality check, independent of the witness.
+    residue is the tested quantity reduced mod n; verdict is derived
+    from it: `passes` iff residue == 0.  is_prime_actual comes from the
+    deterministic primality check, independent of the witness.
     """
 
-    __slots__ = ("n", "test", "residue", "verdict", "is_prime_actual", "note")
+    __slots__ = ("n", "test", "residue", "is_prime_actual", "note")
     n: int
     test: str
     residue: int
-    verdict: str
     is_prime_actual: bool
     note: str
 
@@ -268,25 +267,24 @@ class WitnessReport(Value):
         n: int,
         test: str,
         residue: int,
-        verdict: str,
         is_prime_actual: bool,
         note: str = "",
     ) -> None:
         if not (0 <= residue < n):
             raise ValueError(f"residue {residue} outside [0, {n})")
-        expected = PASSES if residue == 0 else COMPOSITE_WITNESSED
-        if verdict != expected:
-            raise ValueError(f"verdict {verdict!r} inconsistent with residue {residue}")
         set_field(self, "n", n)
         set_field(self, "test", test)
         set_field(self, "residue", residue)
-        set_field(self, "verdict", verdict)
         set_field(self, "is_prime_actual", is_prime_actual)
         set_field(self, "note", note)
 
     @property
     def passes(self) -> bool:
         return self.residue == 0
+
+    @property
+    def verdict(self) -> str:
+        return PASSES if self.residue == 0 else COMPOSITE_WITNESSED
 
     @property
     def is_pseudoprime(self) -> bool:
@@ -303,8 +301,7 @@ def _report(n: int, test: str, residue: int, note: str = "") -> WitnessReport:
         )
         note = f"{note}; {caveat}" if note else caveat
     # Positional arguments: a scan builds one report per n.
-    verdict = PASSES if residue == 0 else COMPOSITE_WITNESSED
-    return WitnessReport(n, test, residue, verdict, is_prime(n), note)
+    return WitnessReport(n, test, residue, is_prime(n), note)
 
 
 def witness_fermat2(n: int) -> WitnessReport:
@@ -521,6 +518,14 @@ def _witness_for(
     raise ValueError(f"unknown witness test {test!r}")
 
 
+def _check_scan_range(lo: int, hi: int, threads: int) -> None:
+    """Reject a scan's range or thread count; the CLI calls this before it builds a series."""
+    if not (2 <= lo <= hi):
+        raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+
+
 def scan_pseudoprimes(
     test: str,
     lo: int,
@@ -538,10 +543,7 @@ def scan_pseudoprimes(
     generic scan streams the derivative recurrence once, exact, to hi,
     reducing each n*g(n) mod n as it is made and keeping no list of them.
     """
-    if not (2 <= lo <= hi):
-        raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    _check_scan_range(lo, hi, threads)
     witness = _witness_for(test, series, hi=hi)
 
     pseudo: list[int] = []

@@ -1,4 +1,4 @@
-"""CLI surface: commands, exit codes, JSON schema round-trips."""
+"""CLI surface: commands, exit codes, JSON output against the library values."""
 
 import io
 import json
@@ -14,22 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logseries import compositae_dp, log_superposition, make_series, scan_pseudoprimes
-from logseries import SequenceSpec, witness_fermat2, witness_lucas, witnesses
-from logseries.cli import (
-    Decimals,
-    loggf_from_payload,
-    loggf_to_payload,
-    main,
-    render_json,
-    scan_from_payload,
-    scan_to_payload,
-    table_from_payload,
-    table_to_payload,
-    theorem_from_payload,
-    theorem_to_payload,
-    witness_from_payload,
-    witness_to_payload,
-)
+from logseries import SequenceSpec, cli, witness_fermat2, witness_lucas, witnesses
+from logseries.cli import Decimals, main, render_json, table_to_payload
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,8 +58,9 @@ def test_compositae_json_round_trips(capsys):
     doc = json.loads(out)
     assert doc["command"] == "compositae"
     assert doc["input"] == {"seq": "primes1", "order": 6}
-    f = make_series(SequenceSpec("primes1", 6))
-    assert table_from_payload(doc["result"]) == compositae_dp(f, 6)
+    table = compositae_dp(make_series(SequenceSpec("primes1", 6)), 6)
+    assert doc["result"]["order"] == table.order
+    assert [[int(v) for v in row] for row in doc["result"]["rows"]] == list(map(list, table.rows))
 
 
 @pytest.mark.parametrize(
@@ -122,9 +109,13 @@ def test_loggf_json_round_trips(capsys):
         capsys, "loggf", "--seq", "catalan-shifted", "--order", "10", "--format", "json"
     )
     doc = json.loads(out)
-    f = make_series(SequenceSpec("catalan-shifted", 10))
-    assert loggf_from_payload(doc["result"]) == log_superposition(f, 10)
-    assert doc["result"]["ng"][-1] == "92378"
+    ls = log_superposition(make_series(SequenceSpec("catalan-shifted", 10)), 10)
+    result = doc["result"]
+    assert result["order"] == ls.order
+    assert [int(v) for v in result["ng"]] == list(ls.ng)
+    assert [Fraction(v) for v in result["g"]] == [ls.g.coeff(n) for n in range(1, 11)]
+    assert [int(v) for v in result["h"]] == list(ls.h)
+    assert result["ng"][-1] == "92378"
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +131,8 @@ def test_theorem_primes1_380(capsys):
 def test_theorem_ones_n10(capsys):
     code, out, _ = run(capsys, "theorem", "--seq", "ones", "--n", "10", "--format", "json")
     doc = json.loads(out)
-    n, value, integral = theorem_from_payload(doc["result"])
-    assert (n, value, integral) == (10, 1023, True)
+    result = doc["result"]
+    assert (int(result["n"]), Fraction(result["value"]), result["integral"]) == (10, 1023, True)
     assert doc["input"]["n"] == doc["result"]["n"] == "10"
 
 
@@ -171,6 +162,41 @@ def test_explicit_order_below_requested_n_is_usage_error_for_every_command(capsy
     assert f"--order 5 is below the largest requested n ({at_least})" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compositae", "--seq", "ones"],
+        ["loggf", "--seq", "ones"],
+        ["theorem", "--seq", "ones", "--n", "6"],
+        ["witness", "--test", "generic", "--seq", "ones", "--n", "10"],
+        ["scan", "--test", "generic", "--seq", "ones", "--hi", "20"],
+    ],
+    ids=["compositae", "loggf", "theorem", "witness", "scan"],
+)
+def test_order_below_one_is_usage_error_for_every_command(capsys, argv, order):
+    code, out, err = run(capsys, *argv, "--order", order)
+    assert (code, out) == (2, "")
+    assert err == f"logseries {argv[0]}: error: sequence order must be a positive integer\n"
+
+
+@pytest.mark.parametrize(
+    "bounds,message",
+    [
+        (["--lo", "3000000", "--hi", "2000000"], "need 2 <= lo <= hi, got lo=3000000, hi=2000000"),
+        (["--lo", "1", "--hi", "100000"], "need 2 <= lo <= hi, got lo=1, hi=100000"),
+        (["--hi", "100000", "--threads", "0"], "threads must be >= 1"),
+    ],
+    ids=["lo-above-hi", "lo-below-2", "no-threads"],
+)
+def test_invalid_generic_scan_exits_2_before_building_its_series(capsys, monkeypatch, bounds, message):
+    calls = []
+    monkeypatch.setattr(cli._module, "make_series", lambda spec: calls.append(spec))
+    code, out, err = run(capsys, "scan", "--test", "generic", "--seq", "primes1", *bounds)
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"logseries scan: error: {message}\n"
+
+
 def test_theorem_auto_raises_order_beyond_default(capsys):
     code, out, _ = run(capsys, "theorem", "--seq", "ones", "--n", "70", "--format", "json")
     assert code == 0
@@ -198,7 +224,7 @@ def test_witness_flags_the_miller_rabin_bound_as_pseudoprime(capsys):
     doc = json.loads(out)
     assert doc["input"] == {"test": "fermat2", "n": n}
     assert doc["result"]["n"] == n  # a string: a double would round it
-    assert witness_from_payload(doc["result"]).n == int(n)
+    assert int(doc["result"]["n"]) == int(n)
 
 
 def test_witness_central_binomial_4_witnessed(capsys):
@@ -226,7 +252,7 @@ def test_witness_generic_fib_gf(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert witness_from_payload(doc["result"]).residue == witness_lucas(705).residue
+    assert int(doc["result"]["residue"]) == witness_lucas(705).residue
 
 
 def test_witness_generic_perrin_flags_271441(capsys):
@@ -251,7 +277,16 @@ def test_witness_json_round_trips(capsys):
     code, out, _ = run(capsys, "witness", "--test", "fermat2", "--n", "341", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert witness_from_payload(doc["result"]) == witness_fermat2(341)
+    report = witness_fermat2(341)
+    assert doc["result"] == {
+        "n": str(report.n),
+        "test": report.test,
+        "residue": str(report.residue),
+        "verdict": report.verdict,
+        "is_prime_actual": report.is_prime_actual,
+        "pseudoprime": report.is_pseudoprime,
+        "note": report.note,
+    }
     assert doc["result"]["pseudoprime"] is True
 
 
@@ -288,13 +323,26 @@ def test_scan_thread_flag_does_not_change_output(capsys):
     assert len(outputs) == 1
 
 
+def scan_json(scan):
+    """The JSON result a scan prints, built from its ScanResult: exact numbers as str()."""
+    return {
+        "lo": str(scan.lo),
+        "hi": str(scan.hi),
+        "test": scan.test,
+        "pseudoprimes": [str(n) for n in scan.pseudoprimes],
+        "primes_checked": scan.primes_checked,
+        "composites_checked": scan.composites_checked,
+    }
+
+
 def test_scan_json_round_trips(capsys):
     code, out, _ = run(
         capsys, "scan", "--test", "fermat2", "--hi", "700", "--threads", "2",
         "--format", "json",
     )
     doc = json.loads(out)
-    assert scan_from_payload(doc["result"]) == scan_pseudoprimes("fermat2", 2, 700, threads=2)
+    scan = scan_pseudoprimes("fermat2", 2, 700, threads=2)
+    assert doc["result"] == scan_json(scan)
     assert doc["input"] == {"test": "fermat2", "lo": "2", "hi": "700", "threads": 2}
     assert doc["result"]["pseudoprimes"] == ["341", "561", "645"]
     assert (doc["result"]["primes_checked"], doc["result"]["composites_checked"]) == (125, 574)
@@ -308,9 +356,9 @@ def test_scan_generic_json_names_its_series_and_matches_fermat2(capsys):
     doc = json.loads(out)
     assert doc["input"] == {"test": "generic", "lo": "2", "hi": "50", "threads": 1, "seq": "ones"}
     fermat2 = scan_pseudoprimes("fermat2", 2, 50)
-    result = scan_from_payload(doc["result"])
-    assert result.pseudoprimes == fermat2.pseudoprimes
-    assert (result.primes_checked, result.composites_checked) == (
+    result = doc["result"]
+    assert tuple(map(int, result["pseudoprimes"])) == fermat2.pseudoprimes
+    assert (result["primes_checked"], result["composites_checked"]) == (
         fermat2.primes_checked,
         fermat2.composites_checked,
     )
@@ -325,7 +373,7 @@ def test_scan_json_writes_large_bounds_exactly(capsys):
     doc = json.loads(out)
     assert doc["input"] == {"test": "fermat2", "lo": str(lo), "hi": str(hi), "threads": 1}
     assert (doc["result"]["lo"], doc["result"]["hi"]) == (str(lo), str(hi))
-    assert scan_from_payload(doc["result"]) == scan_pseudoprimes("fermat2", lo, hi)
+    assert doc["result"] == scan_json(scan_pseudoprimes("fermat2", lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -571,34 +619,6 @@ def test_render_json_matches_json_dumps(command, inputs, result):
     out = io.StringIO()
     render_json(out.write, command, inputs, result)
     assert out.getvalue() == expected
-
-
-def test_json_codecs_preserve_exact_values():
-    # direct codec checks, independent of the process surface
-    f = make_series(SequenceSpec("fib-gf", 9))
-    table = compositae_dp(f, 9)
-    assert table_from_payload(table_to_payload(table)) == table
-    ls = log_superposition(f, 9)
-    assert loggf_from_payload(loggf_to_payload(ls)) == ls
-    report = witness_fermat2(561)
-    assert witness_from_payload(witness_to_payload(report)) == report
-    scan = scan_pseudoprimes("lucas", 2, 30)
-    assert scan_from_payload(scan_to_payload(scan)) == scan
-    n, value, integral = theorem_from_payload(theorem_to_payload(7, Fraction(126, 7)))
-    assert (n, value, integral) == (7, 18, True)
-
-
-def test_decoders_read_numbers_or_decimal_strings():
-    scan = scan_pseudoprimes("fermat2", 2, 600)
-    as_numbers = {**scan_to_payload(scan), "lo": 2, "hi": 600, "pseudoprimes": [341, 561]}
-    assert scan_from_payload(as_numbers) == scan
-    report = witness_fermat2(341)
-    assert witness_from_payload({**witness_to_payload(report), "n": 341}) == report
-    assert theorem_from_payload({"n": 7, "value": "18", "integral": True}) == (7, 18, True)
-    f = make_series(SequenceSpec("fib-gf", 9))
-    table = compositae_dp(f, 9)
-    string_rows = {"order": 9, "rows": [[str(v) for v in row] for row in table.rows]}
-    assert table_from_payload(string_rows) == table
 
 
 EXACT = (

@@ -97,21 +97,15 @@ CASES = [
             "n": 341,
             "test": "fermat2",
             "residue": 0,
-            "verdict": "passes",
             "is_prime_actual": False,
             "note": "",
         },
         True,
         [
             (
-                {"n": 9, "test": "fermat2", "residue": 9, "verdict": "passes", "is_prime_actual": False},
+                {"n": 9, "test": "fermat2", "residue": 9, "is_prime_actual": False},
                 ValueError,
                 r"residue 9 outside \[0, 9\)",
-            ),
-            (
-                {"n": 9, "test": "fermat2", "residue": 3, "verdict": "passes", "is_prime_actual": False},
-                ValueError,
-                "verdict 'passes' inconsistent with residue 3",
             ),
         ],
     ),
@@ -179,7 +173,7 @@ def test_value_class_defaults():
     assert RatSeries(0).coeffs == {}
     # each default is a fresh dict, never one shared between instances
     assert IntSeries(2).coeffs is not IntSeries(2).coeffs
-    assert WitnessReport(4, "fermat2", 2, "composite-witnessed", False).note == ""
+    assert WitnessReport(4, "fermat2", 2, False).note == ""
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

@@ -1,7 +1,9 @@
 """Compositeness witnesses, ground-truth primality, and the scanner."""
 
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -208,11 +210,15 @@ def test_lucas_rejects_nonpositive_index():
 # witness reports
 
 
-def test_witness_report_enforces_verdict_consistency():
-    with pytest.raises(ValueError):
-        WitnessReport(n=5, test="fermat2", residue=1, verdict=PASSES, is_prime_actual=False)
-    with pytest.raises(ValueError):
-        WitnessReport(n=5, test="fermat2", residue=7, verdict=COMPOSITE_WITNESSED, is_prime_actual=False)
+def test_witness_report_verdict_is_derived_from_residue():
+    passing = WitnessReport(n=9, test="fermat2", residue=0, is_prime_actual=False)
+    witnessed = WitnessReport(n=9, test="fermat2", residue=3, is_prime_actual=False)
+    assert (passing.verdict, witnessed.verdict) == (PASSES, COMPOSITE_WITNESSED)
+    assert "verdict" not in WitnessReport.__slots__
+    with pytest.raises(AttributeError):
+        witnessed.verdict = PASSES
+    for clone in (pickle.loads(pickle.dumps(witnessed)), copy.copy(witnessed)):
+        assert clone == witnessed and clone.verdict == COMPOSITE_WITNESSED
 
 
 def test_fermat2_examples():
