@@ -9,14 +9,20 @@ exhaustive pseudoprime scanner.
 Each name in __all__ is imported from its defining module on first
 access (PEP 562), so `import logseries` loads no submodule and a CLI
 command loads only the modules it runs: a named witness or scan never
-imports the series code, `fractions` or `decimal`.  _lazy is that
-resolver; cli and witnesses use it too, for the series names they call
-or that bench/tracing.py rebinds in them.
+imports the series code, `fractions` or `decimal`, and compositae, loggf
+and theorem never import the witnesses.  _lazy is that resolver; cli and
+witnesses use it too, for the names they call or that bench/tracing.py
+rebinds in them.  The witness test names are defined here, not in
+witnesses, so that cli builds its --test choices without importing it.
 """
 
 import sys
 
 __version__ = "0.1.0"
+
+# The witness tests by name; witnesses re-exports all but GENERIC.
+FERMAT2, LUCAS, CENTRAL_BINOMIAL, GENERIC = "fermat2", "lucas", "central-binomial", "generic"
+NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 
 _EXPORTS = {
     "compositae": (
@@ -42,8 +48,16 @@ _EXPORTS = {
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
-# (submodule, name) -> the object the first lazy lookup of that name found there
-_resolved: dict = {}
+# submodule -> a copy of its globals as its import finished
+_bound: dict = {}
+
+
+class _Package(type(sys)):
+    def __setattr__(self, name: str, value) -> None:
+        # The import system binds each submodule here once its import has finished.
+        if name in _EXPORTS:
+            _bound[name] = dict(vars(value))
+        super().__setattr__(name, value)
 
 
 def _lazy(namespace: dict, sources: dict):
@@ -53,21 +67,18 @@ def _lazy(namespace: dict, sources: dict):
     this package that sources[name] names, and bound in `namespace`
     unless something bound it first.  Code in that module calls such a
     name through its module object, so a wrapper or spy set there before
-    the call is what runs.  Every module gets the object the name's first
-    lookup found, as eager imports did: bench/tracing.py wraps
-    superposition.theorem_sum between looking it up in witnesses and in
-    cli, and must not wrap its own wrapper.
+    the call is what runs.  The name resolves to the object its submodule
+    bound when its import finished, not to what that submodule holds at
+    the lookup: bench/tracing.py may import witnesses and wrap its
+    witness_* before cli first looks them up, and must not wrap its own
+    wrapper.
     """
 
     def __getattr__(name: str):
         if name not in sources:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        key = (sources[name], name)
-        if key not in _resolved:
-            module = f"{__name__}.{sources[name]}"
-            __import__(module)  # not importlib.import_module, which -X importtime does not log
-            _resolved[key] = getattr(sys.modules[module], name)
-        return namespace.setdefault(name, _resolved[key])
+        __import__(f"{__name__}.{sources[name]}")  # not importlib.import_module, which -X importtime does not log
+        return namespace.setdefault(name, _bound[sources[name]][name])
 
     return __getattr__
 
@@ -77,3 +88,6 @@ __getattr__ = _lazy(globals(), {name: mod for mod, names in _EXPORTS.items() for
 
 def __dir__() -> list:
     return sorted({*globals(), *__all__})
+
+
+sys.modules[__name__].__class__ = _Package

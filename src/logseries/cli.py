@@ -22,19 +22,24 @@ Output contract:
     conversion limit (4300 digits) for the length of the call.
 
 Start-up: the four series routes (compositae_dp, make_series,
-log_superposition, theorem_sum) are imported on first use, and this
-module imports `fractions` nowhere, so witness and scan with a named test
-load no series code.  render_json writes JSON scalars itself, with the C
-string encoder from `_json`, so no command imports `json`.  The routes
-stay attributes of this module and are called through it, _module, at
-call time, because bench/tracing.py rebinds them here and tests spy on
-them.  The witness_* imports are there only for that tracer, and go
-once it hooks public entry points alone.
+log_superposition, theorem_sum) and the witness entry points are
+imported on first use, and this module imports `fractions` nowhere, so
+witness and scan with a named test load no series code, and compositae,
+loggf and theorem load no witness code (the --test choices come from the
+package).  render_json writes JSON scalars itself, with the C string
+encoder from `_json`, so no command imports `json`.  These names stay
+attributes of this module and are called through it, _module, at call
+time, because bench/tracing.py rebinds them here and tests spy on them.
+The witness_* names are there only for that tracer, and go once it
+hooks public entry points alone.  At exit, script() freezes the heap it
+leaves, so the interpreter's exit-time collections do not walk objects
+the OS is about to reclaim.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -42,19 +47,7 @@ from itertools import chain
 
 from _json import encode_basestring_ascii  # json.dumps's encoder, without json's decoder
 
-from . import _lazy
-from .witnesses import (
-    GENERIC,
-    NAMED_TESTS,
-    _check_scan_range,
-    _witness_for,
-    scan_pseudoprimes,
-    # Not called here; bench/tracing.py wraps these names in this module too.
-    witness_central_binomial,
-    witness_fermat2,
-    witness_generic,
-    witness_lucas,
-)
+from . import GENERIC, NAMED_TESTS, _lazy
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names for annotations only
@@ -69,6 +62,11 @@ if TYPE_CHECKING:  # names for annotations only
 __getattr__ = _lazy(globals(), {
     "compositae_dp": "compositae", "make_series": "sequences",
     "log_superposition": "superposition", "theorem_sum": "superposition",
+    "_check_scan_range": "witnesses", "_witness_for": "witnesses",
+    "scan_pseudoprimes": "witnesses",
+    # Not called here; bench/tracing.py wraps these names in this module too.
+    "witness_central_binomial": "witnesses", "witness_fermat2": "witnesses",
+    "witness_generic": "witnesses", "witness_lucas": "witnesses",
 })
 _module = sys.modules[__name__]
 
@@ -90,7 +88,8 @@ class UsageError(ValueError):
 
 class Decimals(tuple):
     """Exact numbers (ints, Fractions) that render_json writes as a list of
-    their str(), in one join: digits, '-' and '/' need no JSON escape."""
+    their str(), in one %-format call over the tuple: digits, '-' and '/'
+    need no JSON escape."""
 
     __slots__ = ()
 
@@ -144,7 +143,8 @@ def render_json(write: Write, command: str, inputs: dict, result: dict) -> None:
 
     The text goes to `write` in pieces as it is rendered and is never held
     whole: one piece per key, separator and scalar, and one per Decimals
-    list (a triangle row, say), made by a single join of its str() values.
+    list (a triangle row, say), made by a single %-format call with one
+    '%s' per item, so no per-item str or joined copy is made.
     """
     _render(write, {"command": command, "input": inputs, "result": result}, "\n")
 
@@ -164,8 +164,8 @@ def _render(write: Write, value, newline: str) -> None:
             sep = "," + inner
         write(newline + "}")
     elif isinstance(value, Decimals) and value:
-        text = ('",' + inner + '"').join(map(str, value))
-        write("[" + inner + '"' + text + '"' + newline + "]")
+        item = inner + '"%s"'
+        write(("[" + item + ("," + item) * (len(value) - 1) + newline + "]") % value)
     elif isinstance(value, (list, tuple)) and value:
         sep = "[" + inner
         for item in value:
@@ -264,7 +264,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, Emit]:
     series = None
     if args.test == GENERIC:
         series = _build_series(args, at_least=args.n)
-    report = _witness_for(args.test, series, series_id=args.seq)(args.n)
+    report = _module._witness_for(args.test, series, series_id=args.seq)(args.n)
     code = EXIT_OK if report.passes else EXIT_WITNESSED
     if args.format == "json":
         inputs = {"test": args.test, "n": str(args.n)}
@@ -285,11 +285,13 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, Emit]:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, Emit]:
-    _check_scan_range(args.lo, args.hi, args.threads)  # before a generic series is built
+    _module._check_scan_range(args.lo, args.hi, args.threads)  # before a generic series is built
     series = None
     if args.test == GENERIC:
         series = _build_series(args, at_least=args.hi)
-    result = scan_pseudoprimes(args.test, args.lo, args.hi, threads=args.threads, series=series)
+    result = _module.scan_pseudoprimes(
+        args.test, args.lo, args.hi, threads=args.threads, series=series
+    )
     if args.format == "json":
         inputs = {"test": args.test, "lo": str(args.lo), "hi": str(args.hi)}
         inputs["threads"] = args.threads
@@ -402,8 +404,15 @@ def script() -> int:
     the failed write is still buffered.  fd 1 is then pointed at devnull, so
     the interpreter's flush at exit cannot fail and print "Exception ignored".
     In-process callers of main() keep their fd 1.
+
+    Once main() has returned, gc.freeze() moves every tracked object to
+    the permanent generation, which the collections at interpreter exit
+    skip: the process is ending and the OS reclaims its memory whole.
+    Exit itself is unchanged, so atexit hooks, profilers and the flush of
+    stdout still run.
     """
     code = main()
+    gc.freeze()
     if sys.stdout is not None:
         try:
             sys.stdout.flush()
@@ -415,4 +424,8 @@ def script() -> int:
 
 
 if __name__ == "__main__":
+    if _module.__dict__ is not globals():
+        # `python -m cProfile -m logseries.cli` runs this file in a bare dict, and
+        # _module is the profiler's __main__: run the imported module instead.
+        from logseries.cli import script
     sys.exit(script())

@@ -26,7 +26,8 @@ crossed over at 8-12 support terms for orders 150-500.
 The row sums h(n) of the triangle and n*g(n) = sum_k (n/k) F_delta(n, k)
 also stream, with no triangle, from _h_and_ng (H = 1/(1-F), G' = F' H),
 holding O(d) values for a support that ends at d: the generic witness
-and scan read n*g(n) there, and the packed slot bound reads h of |f|.
+and scan read n*g(n) there.  The packed slot bound runs the h half of
+the same recurrence on |f|.
 
 Unordered part multisets (partitions into exactly k parts) and the
 multinomial count of orderings per multiset give a third decomposition:
@@ -189,11 +190,20 @@ def _h_and_ng(f: IntSeries, order: int, mod: int | None = None) -> Iterator[tupl
 def _slot_bytes(support: list[tuple[int, int]], order: int) -> int:
     """Bytes per packed slot: room for max |F_delta(n, k)| and a spare sign bit.
 
-    |F_delta(n, k)| <= h_|f|(n), the row sum of the triangle of |f|, which
-    _h_and_ng yields for |f|.
+    |F_delta(n, k)| <= h_|f|(n), the row sum of the triangle of |f|: the h
+    half of _h_and_ng's recurrence on |f|, h(n) = sum_{m<=n} |f(m)| h(n-m),
+    without the n*g(n) sums that the bound does not read.
     """
-    abs_f = IntSeries(order, {m: abs(c) for m, c in support})
-    return max(h for h, _ in _h_and_ng(abs_f, order)).bit_length() // 8 + 1
+    abs_support = [(m, abs(c)) for m, c in support]
+    h = [1]
+    for n in range(1, order + 1):
+        hn = 0
+        for m, c in abs_support:
+            if m > n:
+                break
+            hn += c * h[n - m]
+        h.append(hn)
+    return max(h).bit_length() // 8 + 1
 
 
 def _packed_rows(f: IntSeries, order: int) -> tuple[tuple[int, ...], ...]:

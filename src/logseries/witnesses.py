@@ -57,7 +57,9 @@ import math
 import sys
 from collections import deque
 
-from . import _lazy
+# The test names are defined in the package, where cli reads them without
+# importing this module; NAMED_TESTS is only re-exported here.
+from . import CENTRAL_BINOMIAL, FERMAT2, GENERIC, LUCAS, NAMED_TESTS, _lazy  # noqa: F401
 from ._value import Value, set_field
 
 TYPE_CHECKING = False
@@ -70,12 +72,6 @@ _module = sys.modules[__name__]
 
 PASSES = "passes"
 COMPOSITE_WITNESSED = "composite-witnessed"
-
-FERMAT2 = "fermat2"
-LUCAS = "lucas"
-CENTRAL_BINOMIAL = "central-binomial"
-GENERIC = "generic"
-NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 
 
 def _prime_flags(size: int) -> bytearray:
@@ -104,9 +100,9 @@ _MR_BASE_COUNTS = ((341550071728321, 7), (3825123056546413051, 9), (318665857834
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 # witness_central_binomial holds O(log n) values, but for q^a || n with q in
-# {2, 3} and a >= 2 it takes O(q^a) steps, so n is capped for time: n = 2^26,
-# the worst case below the cap, takes 2.5-3.2 s (CPython 3.11, 2 vCPUs),
-# and 2^40 would take hours.
+# {2, 3} and a >= 2 it takes O(q^a) steps, so n is capped for time: below the
+# cap n = 2 * 3^16 takes about 2 s and n = 2^26 about 1.2 s (CPython 3.11,
+# 2 vCPUs), and 2^40 would take hours.
 CENTRAL_BINOMIAL_MAX_N = 10**8
 
 
@@ -334,8 +330,8 @@ def witness_central_binomial(n: int) -> WitnessReport:
 
     The residues are joined by the Chinese remainder theorem.  Every route
     holds O(log n) values, but for q in {2, 3} the second takes O(q^a)
-    steps, so n is limited to CENTRAL_BINOMIAL_MAX_N (10**8; n = 2^26
-    takes about 3 s); a larger n raises ValueError before any work.
+    steps, so n is limited to CENTRAL_BINOMIAL_MAX_N (10**8; n = 2 * 3^16
+    takes about 2 s); a larger n raises ValueError before any work.
     References: Granville, "Binomial coefficients modulo prime powers"
     (1997).
     """
@@ -410,9 +406,11 @@ def _central_binomial_mod_prime_power(m: int, q: int, a: int) -> int:
     eps = 1 if q == 2 and a >= 3 else -1
     u, acc, lo = {qa - 1: eps}, 1, 1
     for k in sorted({k % qa for k in top + bottom} - u.keys()):
-        for j in range(lo, k + 1):
-            if j % q:
-                acc = acc * j % qa
+        # The j in [lo, k] prime to q, one residue class mod q at a time.
+        for first in range(lo, min(lo + q, k + 1)):
+            if first % q:
+                for j in range(first, k + 1, q):
+                    acc = acc * j % qa
         u[k], lo = acc, k + 1
 
     def free_part(ks: list[int]) -> int:

@@ -415,6 +415,29 @@ def test_exact_values_beyond_the_int_str_digit_limit(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        ("witness --test fermat2 --n 3", "witness fermat2  n=3: passes (residue 0, prime=True)"),
+        ("compositae --seq ones --order 3", "compositae triangle  seq=ones  order=3"),
+    ],
+)
+def test_a_profiler_still_reports_after_the_exit_freeze(argv, first_line):
+    # `-m cProfile -m` runs cli's code in a bare dict, not a module, and
+    # script() freezes the heap once main() returns; the command must still
+    # run and exit normally, so the profiler's report follows its output.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "logseries.cli", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(first_line + "\n")
+    stats = proc.stdout.partition(" function calls ")[2]
+    assert "Ordered by:" in stats and "(script)" in stats and "(main)" in stats
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["witness", "--test", "fermat2", "--n", "341"],  # held in stdout's buffer
@@ -614,11 +637,47 @@ JSON_VALUES = st.recursive(
 @example("c", {}, {"rows": [with_middle("é")]})
 @example("c", {}, {"rows": [["1", 2, "3"], ("4", -5)]})
 @example("c", {}, {"rows": [["1", "", "2"], [""]]})
+# Decimals, written by one %-format call each: empty, a 1-tuple, negative
+# ints and Fractions, compared as the lists of their strings.
+@example("c", {}, {"rows": [Decimals(), Decimals([7]), Decimals([-7]), [Decimals()]]})
+@example("c", {}, {"rows": [Decimals([-12, 0, -(2**70)]), Decimals([Fraction(-7, 3), 5])]})
+@example("loggf", {}, {"g": Decimals([Fraction(1, 2)]), "h": Decimals(range(-3, 3))})
 def test_render_json_matches_json_dumps(command, inputs, result):
-    expected = json.dumps({"command": command, "input": inputs, "result": result}, indent=2)
+    expected = json.dumps(
+        {"command": command, "input": inputs, "result": as_strings(result)}, indent=2
+    )
     out = io.StringIO()
     render_json(out.write, command, inputs, result)
     assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize(
+    "seq, order",
+    [
+        ("inline:" + "7" * 4400, 1),  # one row of one entry past 4300 digits
+        ("inline:-1,0,-2", 5),  # negative entries
+        ("inline:-" + "9" * 4301 + ",1", 3),
+    ],
+)
+def test_main_renders_each_row_as_json_dumps(capsys, seq, order):
+    # The digit limit is lifted by main() alone, around the %-format of each row.
+    code, out, err = run(capsys, "compositae", "--seq", seq, "--order", str(order), "--format", "json")
+    assert (code, err) == (0, "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        table = compositae_dp(make_series(SequenceSpec(seq, order)), order)
+        rows = [[str(v) for v in row] for row in table.rows]
+        expected = {
+            "command": "compositae",
+            "input": {"seq": seq, "order": order},
+            "result": {"order": order, "rows": rows},
+        }
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 EXACT = (
