@@ -25,10 +25,7 @@ FERMAT2, LUCAS, CENTRAL_BINOMIAL, GENERIC = "fermat2", "lucas", "central-binomia
 NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 
 _EXPORTS = {
-    "compositae": (
-        "BRUTE_FORCE_MAX_N", "CompositaeTable", "PartMultiset", "compositae_bruteforce",
-        "compositae_dp", "compositions", "enumerate_part_multisets", "multinomial_count",
-    ),
+    "compositae": ("CompositaeTable", "compositae_dp"),
     "sequences": (
         "BUILTIN_KINDS", "CoefficientFileError", "SequenceSpec", "load_coefficient_file",
         "make_series", "parse_coefficient_text",

@@ -16,7 +16,7 @@ Output contract:
   - Exit codes: 0 success (witness: passes), 1 composite-witnessed,
     2 usage or input error, 3 internal error (any other exception, such
     as an exact value that must be an integer coming out fractional, a
-    MemoryError, or a stdout that cannot be written, e.g. a closed
+    prime with a nonzero witness residue, a MemoryError, or a stdout that cannot be written, e.g. a closed
     pipe or a closed stream).  Diagnostics go to stderr, one line each.
   - Exact values have no digit limit: main() lifts CPython's int/str
     conversion limit (4300 digits) for the length of the call.
@@ -243,7 +243,10 @@ def cmd_loggf(args: argparse.Namespace) -> tuple[int, Emit]:
             "loggf", {"seq": args.seq, "order": f.order}, loggf_to_payload(ls)
         )
     head = [f"log-superposition  seq={args.seq}  order={f.order}", "n\tng(n)\tg(n)\th(n)"]
-    rows = (f"{n}\t{ls.ng_at(n)}\t{ls.g.coeff(n)}\t{ls.h_at(n)}" for n in range(1, f.order + 1))
+    rows = (
+        f"{n}\t{ngn}\t{ls.g.coeff(n)}\t{hn}"
+        for n, (ngn, hn) in enumerate(zip(ls.ng, ls.h), start=1)
+    )
     return EXIT_OK, _lines(chain(head, rows))
 
 

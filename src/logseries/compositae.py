@@ -1,4 +1,4 @@
-"""Compositae of an integer series and composition/partition counting.
+"""Compositae of an integer series: the triangle and its streamed row sums.
 
 The compositae of F(x) = sum_{n>=1} f(n) x^n is the triangle
 
@@ -9,15 +9,10 @@ for 1 <= k <= n.  A composition is an ordered tuple of positive parts;
 there are C(n-1, k-1) of them with exactly k parts.  Equivalently the
 triangle collects the coefficients of F(x)^k.
 
-Two independent routes are provided: a dynamic program over the last
-part (compositae_dp) and literal enumeration of every composition
-(compositae_bruteforce).  The brute force is the testing oracle and is
-deliberately kept free of the DP recurrence; it is capped at small n
-because the composition count doubles with every increment.
-
-compositae_dp has two kernels: one int per entry, or, when f has at
-least PACKED_MIN_SUPPORT = 16 nonzero terms up to the order, one int per
-row by Kronecker substitution (Harvey, "Faster polynomial multiplication
+compositae_dp builds it by a dynamic program over the last part, with
+two kernels: one int per entry, or, when f has at least
+PACKED_MIN_SUPPORT = 16 nonzero terms up to the order, one int per row
+by Kronecker substitution (Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", J. Symb. Comput. 44, 2009).  The
 packed slots are W whole bytes, from the bound |F_delta(n, k)| <= h_|f|(n)
 plus a sign bit, and cost about order^2 * W / 2 extra bits.  The kernels
@@ -28,30 +23,16 @@ also stream, with no triangle, from _h_and_ng (H = 1/(1-F), G' = F' H),
 holding O(d) values for a support that ends at d: the generic witness
 and scan read n*g(n) there.  The packed slot bound runs the h half of
 the same recurrence on |f|.
-
-Unordered part multisets (partitions into exactly k parts) and the
-multinomial count of orderings per multiset give a third decomposition:
-
-    F_delta(n, k) = sum over partitions L of n into k parts
-                    of b(L) * prod f(l),  b(L) = k! / (j_1! ... j_m!),
-
-where j_i are the multiplicities of the distinct part values in L.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from collections.abc import Iterator
 from operator import add, mul, neg, sub
 
 from ._value import Value, set_field
 from .series import IntSeries
-
-# Composition enumeration doubles per unit of n; C(24, 12) ~ 2.7e6 keeps
-# a single brute-force call affordable.
-BRUTE_FORCE_MAX_N = 25
 
 # compositae_dp packs each row into one integer when f has at least this many
 # nonzero coefficients up to the order; see its docstring for the crossover.
@@ -234,95 +215,3 @@ def _packed_rows(f: IntSeries, order: int) -> tuple[tuple[int, ...], ...]:
         rows.append(tuple(map(sub, values, itertools.repeat(half))))
     return tuple(rows)
 
-
-def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of n into k positive parts (ordered tuples).
-
-    Realized by choosing k-1 cut points among the n-1 gaps, which is
-    independent of any recurrence on the compositae.
-    """
-    def parts(cuts: tuple[int, ...]) -> tuple[int, ...]:
-        bounds = (0,) + cuts + (n,)
-        return tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-    return map(parts, itertools.combinations(range(1, n), k - 1))
-
-
-def compositae_bruteforce(f: IntSeries, n: int, k: int) -> int:
-    """Definitional F_delta(n, k): enumerate every composition, sum products.
-
-    Returns 0 when k > n (no compositions).  Guarded at n <= 25 because
-    the enumeration grows as C(n-1, k-1).
-    """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    if n > f.order:
-        raise ValueError(f"n={n} exceeds series order {f.order}")
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(
-            f"brute-force enumeration capped at n <= {BRUTE_FORCE_MAX_N} (got n={n})"
-        )
-    if k > n:
-        return 0
-    get = f.coeffs.get
-    return sum(math.prod(get(p, 0) for p in parts) for parts in compositions(n, k))
-
-
-class PartMultiset(Value):
-    """Unordered multiset of positive parts {l_1, ..., l_k}, stored sorted."""
-
-    __slots__ = ("parts",)
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: tuple[int, ...]) -> None:
-        if not parts:
-            raise ValueError("a part multiset must be non-empty")
-        if any(p < 1 for p in parts):
-            raise ValueError("all parts must be positive")
-        set_field(self, "parts", tuple(sorted(parts)))
-
-    @classmethod
-    def of(cls, *parts: int) -> PartMultiset:
-        return cls(tuple(parts))
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        """Multiplicity j_i of each distinct part value, ascending by value."""
-        counts = Counter(self.parts)
-        return tuple(counts[v] for v in sorted(counts))
-
-
-def multinomial_count(L: PartMultiset) -> int:
-    """Number of distinct orderings of L: b(L) = k! / (j_1! ... j_m!)."""
-    num = math.factorial(L.k)
-    for j in L.multiplicities:
-        num //= math.factorial(j)
-    return num
-
-
-def enumerate_part_multisets(n: int, k: int) -> list[PartMultiset]:
-    """All partitions of n into exactly k positive parts, each exactly once.
-
-    Canonical order: lexicographic on the ascending part tuples.
-    """
-    if k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-
-    def gen(total: int, count: int, minimum: int):
-        if count == 1:
-            if total >= minimum:
-                yield (total,)
-            return
-        for first in range(minimum, total // count + 1):
-            for rest in gen(total - first, count - 1, first):
-                yield (first,) + rest
-
-    return [PartMultiset(parts) for parts in gen(n, k, 1)]

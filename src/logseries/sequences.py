@@ -2,7 +2,8 @@
 
 Built-in kinds:
     ones             f(i) = 1
-    primes1          f(1) = 1, then f(2), f(3), ... = 2, 3, 5, 7, 11, ...
+    primes1          f(1) = 1, then f(2), f(3), ... = 2, 3, 5, 7, 11, ...,
+                     read off the package's one prime sieve
     fib-gf           f(1) = f(2) = 1, all other coefficients 0
     catalan-shifted  f(n) = Catalan(n-1) = 1, 1, 2, 5, 14, 42, ...
     file:<path>      coefficients read from a text file
@@ -18,10 +19,11 @@ missing trailing coefficients are 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
-from ._value import Value, set_field
+from ._value import Value, _prime_flags, set_field
 from .series import IntSeries
 
 BUILTIN_KINDS = ("ones", "primes1", "fib-gf", "catalan-shifted")
@@ -56,16 +58,11 @@ class SequenceSpec(Value):
 
 
 def _primes1_values(order: int) -> list[int]:
-    values = [1]
-    candidate = 2
-    while len(values) < order:
-        for d in range(2, math.isqrt(candidate) + 1):
-            if candidate % d == 0:
-                break
-        else:
-            values.append(candidate)
-        candidate += 1
-    return values[:order]
+    """1, then the first order - 1 primes, from a sieve doubled from 16 until it holds them."""
+    size = 16
+    while (flags := _prime_flags(size)).count(1) < order - 1:
+        size *= 2
+    return [1, *itertools.islice(itertools.compress(range(size), flags), order - 1)]
 
 
 def _catalan_shifted_values(order: int) -> list[int]:

@@ -117,16 +117,6 @@ class LogSuperposition(Value):
         set_field(self, "ng", ng)
         set_field(self, "h", h)
 
-    def ng_at(self, n: int) -> int:
-        if not (1 <= n <= self.order):
-            raise IndexError(f"n={n} outside 1..{self.order}")
-        return self.ng[n - 1]
-
-    def h_at(self, n: int) -> int:
-        if not (1 <= n <= self.order):
-            raise IndexError(f"n={n} outside 1..{self.order}")
-        return self.h[n - 1]
-
 
 def superpose(r: RatSeries, f: IntSeries, order: int) -> RatSeries:
     """Z = R(F) up to `order` via the compositae of f.

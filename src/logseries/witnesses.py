@@ -6,9 +6,10 @@ For an integer series f with triangle F_delta, the quantity
 
 is divisible by n whenever n is prime.  A nonzero residue mod n is
 therefore a proof of compositeness; residue 0 proves nothing (composite
-passers are pseudoprimes for the chosen series).  Three specializations
-have closed forms and run in modular arithmetic, without any series and
-for any n:
+passers are pseudoprimes for the chosen series).  A prime with a nonzero
+residue can only come from a defect, and raises ArithmeticError
+(_report).  Three specializations have closed forms and run in modular
+arithmetic, without any series and for any n:
 
     ones (f(i) = 1):        residue of 2^n - 2            (fermat2)
     x + x^2:                residue of L_n - 1            (lucas)
@@ -60,7 +61,7 @@ from collections import deque
 # The test names are defined in the package, where cli reads them without
 # importing this module; NAMED_TESTS is only re-exported here.
 from . import CENTRAL_BINOMIAL, FERMAT2, GENERIC, LUCAS, NAMED_TESTS, _lazy  # noqa: F401
-from ._value import Value, set_field
+from ._value import Value, _prime_flags, set_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # names for annotations only
@@ -72,18 +73,6 @@ _module = sys.modules[__name__]
 
 PASSES = "passes"
 COMPOSITE_WITNESSED = "composite-witnessed"
-
-
-def _prime_flags(size: int) -> bytearray:
-    """flags[i] == 1 iff i is prime, for 0 <= i < size (size even, >= 4)."""
-    # The b"\0\1" pattern starts with every even index cleared, so no p = 2
-    # pass (a size/2-byte zero block) is needed and odd p clears odd multiples only.
-    flags = bytearray(b"\0\1") * (size // 2)
-    flags[1:3] = b"\0\1"
-    for p in range(3, math.isqrt(size - 1) + 1, 2):
-        if flags[p]:
-            flags[p * p :: 2 * p] = bytes(len(range(p * p, size, 2 * p)))
-    return flags
 
 
 _SMALL_PRIME_BOUND = 1000
@@ -289,7 +278,25 @@ class WitnessReport(Value):
 
 
 def _report(n: int, test: str, residue: int, note: str = "") -> WitnessReport:
-    if n >= _MR_DETERMINISTIC_BOUND:
+    """The report of every witness and scan step at n.
+
+    Every prime passes every test (the theorem), so a prime n with a
+    nonzero residue is a defect, never a verdict: it raises
+    ArithmeticError, which the CLI reports as an internal error (exit 3).
+    From _MR_DETERMINISTIC_BOUND on, n could instead be a composite that
+    passes Baillie-PSW, and the message says so.
+    """
+    prime = is_prime(n)
+    probable = n >= _MR_DETERMINISTIC_BOUND
+    if prime and residue:
+        message = f"{test} residue {residue} at n={n}, which is prime: a defect, since every prime passes"
+        if probable:
+            message += (
+                f"; n >= {_MR_DETERMINISTIC_BOUND}, where primality is only probable "
+                "(Baillie-PSW), so n may instead be a composite that passes it"
+            )
+        raise ArithmeticError(message)
+    if probable:
         caveat = (
             f"is_prime_actual is only probable: n >= {_MR_DETERMINISTIC_BOUND}, "
             "beyond the proven range of Miller-Rabin bases 2..41, so a prime "
@@ -297,7 +304,7 @@ def _report(n: int, test: str, residue: int, note: str = "") -> WitnessReport:
         )
         note = f"{note}; {caveat}" if note else caveat
     # Positional arguments: a scan builds one report per n.
-    return WitnessReport(n, test, residue, is_prime(n), note)
+    return WitnessReport(n, test, residue, prime, note)
 
 
 def witness_fermat2(n: int) -> WitnessReport:

@@ -3,9 +3,12 @@
 Each is an independent route to a quantity the package computes through
 the compositae triangle: the Cauchy product and Horner composition for
 superpose(), 1/(1 - F) for the row sums h(n), and G' = F'/(1 - F) for
-n*g(n).  None of them is on a production path, so they live here.
+n*g(n); and trial division for the primes1 coefficients, which the
+package reads off its prime sieve.  None of them is on a production
+path, so they live here.
 """
 
+import math
 from fractions import Fraction
 
 from logseries import IntSeries, RatSeries, log_superposition
@@ -98,3 +101,17 @@ def derivative_identity_residual(f: IntSeries) -> RatSeries:
     g = log_superposition(f, f.order).g
     rhs = series_derivative(g)
     return series_add(lhs, RatSeries(rhs.order, {n: -c for n, c in rhs.coeffs.items()}))
+
+
+def primes1_values(order: int) -> list[int]:
+    """1, then the first order - 1 primes, by trial division of every candidate."""
+    values = [1]
+    candidate = 2
+    while len(values) < order:
+        for d in range(2, math.isqrt(candidate) + 1):
+            if candidate % d == 0:
+                break
+        else:
+            values.append(candidate)
+        candidate += 1
+    return values[:order]

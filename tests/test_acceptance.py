@@ -14,13 +14,10 @@ from fractions import Fraction
 from logseries import (
     IntSeries,
     SequenceSpec,
-    compositae_bruteforce,
     compositae_dp,
     corollary_sum,
-    enumerate_part_multisets,
     log_superposition,
     make_series,
-    multinomial_count,
     scan_pseudoprimes,
     theorem_sum,
     witness_central_binomial,
@@ -28,6 +25,7 @@ from logseries import (
     witness_generic,
     witness_lucas,
 )
+from compositae_oracles import compositae_bruteforce, enumerate_part_multisets, multinomial_count
 
 LUCAS_17 = [1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843, 1364, 2207, 3571]
 CATALAN_NG_10 = [1, 3, 10, 35, 126, 462, 1716, 6435, 24310, 92378]
@@ -107,7 +105,7 @@ def test_criterion_3_fib_gf_ng_is_lucas_sequence():
     for _ in range(20):
         fib.append(fib[-1] + fib[-2])
     ok = list(ls.ng) == LUCAS_17 and all(
-        ls.ng_at(n) == fib[n + 1] + fib[n - 1] for n in range(1, 18)
+        ls.ng[n - 1] == fib[n + 1] + fib[n - 1] for n in range(1, 18)
     )
     report(3, "x+x^2: ng matches the 17 Lucas numbers and Fib identity", ok, f"ng={list(ls.ng)}")
 
@@ -115,7 +113,7 @@ def test_criterion_3_fib_gf_ng_is_lucas_sequence():
 def test_criterion_4_shifted_catalan_ng_is_central_binomial():
     ls = log_superposition(make_series(SequenceSpec("catalan-shifted", 10)), 10)
     ok = list(ls.ng) == CATALAN_NG_10 and all(
-        ls.ng_at(n) == math.comb(2 * n - 1, n - 1) for n in range(1, 11)
+        ls.ng[n - 1] == math.comb(2 * n - 1, n - 1) for n in range(1, 11)
     )
     report(4, "shifted Catalan: ng matches C(2n-1, n-1) list", ok, f"ng={list(ls.ng)}")
 

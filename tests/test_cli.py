@@ -578,6 +578,34 @@ def test_internal_error_exits_3_not_witness_status(capsys, monkeypatch):
     ]
 
 
+def off_by_one_lucas_numbers(monkeypatch):
+    real = witnesses.lucas_number
+    monkeypatch.setattr(witnesses, "lucas_number", lambda n, mod=None: real(n, mod) + 1)
+
+
+def test_a_witness_residue_at_a_prime_is_a_defect_not_a_verdict(capsys, monkeypatch):
+    # L(7) = 29 = 1 mod 7, so the lucas residue at the prime 7 is 0 unless a defect moves it.
+    off_by_one_lucas_numbers(monkeypatch)
+    code, out, err = run(capsys, "witness", "--test", "lucas", "--n", "7")
+    assert (code, out) == (3, "")
+    assert err == (
+        "logseries witness: internal error: ArithmeticError: "
+        "lucas residue 1 at n=7, which is prime: a defect, since every prime passes\n"
+    )
+
+
+def test_a_scan_stops_at_a_prime_with_a_nonzero_residue(capsys, monkeypatch):
+    # The off-by-one residues at the composites 8, 9 and 10 stay nonzero; the prime 11
+    # stops the scan instead of being counted as a prime.
+    off_by_one_lucas_numbers(monkeypatch)
+    code, out, err = run(capsys, "scan", "--test", "lucas", "--lo", "8", "--hi", "12")
+    assert (code, out) == (3, "")
+    assert err == (
+        "logseries scan: internal error: ArithmeticError: "
+        "lucas residue 1 at n=11, which is prime: a defect, since every prime passes\n"
+    )
+
+
 def test_unexpected_exception_exits_3_with_one_stderr_line(capsys, monkeypatch):
     def broken(n):
         raise RuntimeError("boom")

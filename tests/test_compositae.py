@@ -8,19 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logseries import (
-    BRUTE_FORCE_MAX_N,
-    CompositaeTable,
-    IntSeries,
-    PartMultiset,
-    SequenceSpec,
-    compositae_bruteforce,
-    compositae_dp,
-    compositions,
-    enumerate_part_multisets,
-    make_series,
-    multinomial_count,
-)
+from logseries import CompositaeTable, IntSeries, SequenceSpec, compositae_dp, make_series
 from logseries import compositae
 from logseries.compositae import (
     PACKED_MIN_SUPPORT,
@@ -28,6 +16,14 @@ from logseries.compositae import (
     _h_and_ng,
     _packed_rows,
     _slot_bytes,
+)
+from compositae_oracles import (
+    BRUTE_FORCE_MAX_N,
+    PartMultiset,
+    compositae_bruteforce,
+    compositions,
+    enumerate_part_multisets,
+    multinomial_count,
 )
 from series_oracles import geometric_inverse, series_mul
 

@@ -99,7 +99,7 @@ def test_importing_the_package_loads_no_submodule_and_submodules_still_import():
 
 def test_every_public_name_is_its_defining_modules_object():
     assert logseries.__all__ == sorted(name for names in logseries._EXPORTS.values() for name in names)
-    assert len(set(logseries.__all__)) == len(logseries.__all__) == 40
+    assert len(set(logseries.__all__)) == len(logseries.__all__) == 34
     for module_name, names in logseries._EXPORTS.items():
         module = importlib.import_module(f"logseries.{module_name}")
         for name in names:
@@ -110,6 +110,21 @@ def test_every_public_name_is_its_defining_modules_object():
     namespace = {}
     exec("from logseries import *", namespace)
     assert set(logseries.__all__) <= set(namespace)
+
+
+def test_the_package_ships_no_compositae_oracle_and_no_index_accessor():
+    # The definitional routes are test oracles (tests/compositae_oracles.py).
+    from logseries import compositae, sequences
+
+    oracles = (
+        "BRUTE_FORCE_MAX_N", "PartMultiset", "compositae_bruteforce", "compositions",
+        "enumerate_part_multisets", "multinomial_count",
+    )
+    for module in (logseries, compositae, sequences):
+        for name in oracles:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(superposition.LogSuperposition, "ng_at")
+    assert not hasattr(superposition.LogSuperposition, "h_at")
 
 
 @pytest.mark.parametrize("module", [logseries, cli, witnesses], ids=lambda m: m.__name__)

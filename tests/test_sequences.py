@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import sympy
 
 from logseries import (
     CoefficientFileError,
@@ -11,6 +12,7 @@ from logseries import (
     make_series,
     parse_coefficient_text,
 )
+from series_oracles import primes1_values
 
 
 def test_ones():
@@ -22,6 +24,23 @@ def test_primes1_convention():
     # leading 1, then the primes from index 2 on
     f = make_series(SequenceSpec("primes1", 8))
     assert [f.coeff(i) for i in range(1, 9)] == [1, 2, 3, 5, 7, 11, 13, 17]
+
+
+def test_primes1_is_the_trial_division_oracle_at_every_order_to_3000():
+    # The sieve doubles from 16 until it holds order - 1 primes, so every
+    # size up to 2^15 is the last one at some order in this range.
+    expected = primes1_values(3000)
+    for order in range(1, 3001):
+        assert make_series(SequenceSpec("primes1", order)).coeffs == dict(
+            enumerate(expected[:order], start=1)
+        )
+
+
+def test_primes1_at_order_10000_is_sympys_primes():
+    f = make_series(SequenceSpec("primes1", 10**4))
+    assert f.coeff(10**4) == sympy.prime(10**4 - 1)
+    expected = [1, *sympy.primerange(2, sympy.prime(10**4 - 1) + 1)]
+    assert f.coeffs == dict(enumerate(expected, start=1))
 
 
 def test_fib_gf():

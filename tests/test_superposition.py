@@ -17,7 +17,6 @@ from logseries import (
     IntegralityError,
     LogSeries,
     RatSeries,
-    compositae_bruteforce,
     compositae_dp,
     corollary_sum,
     log_superposition,
@@ -31,6 +30,7 @@ from logseries import (
 )
 from logseries.compositae import _h_and_ng
 from logseries.superposition import _reciprocal_weights, _row_sum, _scale_weights
+from compositae_oracles import compositae_bruteforce
 from series_oracles import (
     compose_truncated,
     derivative_identity_residual,
@@ -193,10 +193,8 @@ def test_log_superposition_h_matches_geometric_inverse():
 
 def test_log_superposition_accessors():
     ls = log_superposition(FIB_GF_17, 5)
-    assert ls.ng_at(5) == 11
-    assert ls.h_at(5) == 8
-    with pytest.raises(IndexError):
-        ls.ng_at(6)
+    assert ls.ng[5 - 1] == 11
+    assert ls.h[5 - 1] == 8
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ def test_theorem_sum_equals_n_g_n():
     f = IntSeries.from_values([3, -2, 0, 5, 1, -4])
     ls = log_superposition(f, 6)
     for n in range(1, 7):
-        assert theorem_sum(f, n) == ls.ng_at(n) == n * ls.g.coeff(n)
+        assert theorem_sum(f, n) == ls.ng[n - 1] == n * ls.g.coeff(n)
 
 
 def test_theorem_sum_bounds():
@@ -385,7 +383,7 @@ def test_derivative_identity_gives_integer_route_to_ng():
     product = series_mul(series_derivative(f.to_rat()), geometric_inverse(f))
     ls = log_superposition(f, 8)
     for n in range(1, 8):
-        assert product.coeff(n - 1) == ls.ng_at(n)
+        assert product.coeff(n - 1) == ls.ng[n - 1]
 
 
 @st.composite

@@ -16,12 +16,12 @@ from logseries import (
     IntSeries,
     LogSeries,
     LogSuperposition,
-    PartMultiset,
     RatSeries,
     ScanResult,
     SequenceSpec,
     WitnessReport,
 )
+from compositae_oracles import PartMultiset
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -404,6 +404,18 @@ def test_reports_flag_probable_ground_truth_from_the_miller_rabin_bound():
     assert joined.note.startswith("degenerate; " + caveat)
 
 
+def test_a_prime_with_a_nonzero_residue_is_a_defect_not_a_verdict():
+    # Every prime passes every test, so such a report can only come from a defect.
+    with pytest.raises(ArithmeticError) as err:
+        witnesses._report(7, "fermat2", 1)
+    assert not isinstance(err.value, ValueError)  # the CLI maps ValueError to a usage error
+    assert str(err.value) == "fermat2 residue 1 at n=7, which is prime: a defect, since every prime passes"
+    # From the bound on, primality is only probable, and the message says so.
+    prime = sympy.nextprime(MR_BOUND)
+    with pytest.raises(ArithmeticError, match=rf"n={prime}, .*; n >= {MR_BOUND}, .*only probable"):
+        witnesses._report(prime, "lucas", 2)
+
+
 def test_is_prime_from_the_miller_rabin_bound_adds_a_strong_lucas_test():
     # the factorization is the oracle; the bases 2..41 alone call MR_BOUND prime
     assert MR_BOUND == 1287836182261 * 2575672364521
