@@ -30,7 +30,7 @@ _EXPORTS = {
         "BUILTIN_KINDS", "CoefficientFileError", "SequenceSpec", "load_coefficient_file",
         "make_series", "parse_coefficient_text",
     ),
-    "series": ("IntSeries", "LogSeries", "RatSeries"),
+    "series": ("IntSeries", "RatSeries"),
     "superposition": (
         "IntegralityError", "LogSuperposition", "corollary_sum", "log_superposition",
         "statement21_check", "statement22_check", "superpose", "theorem_sum",

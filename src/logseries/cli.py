@@ -71,6 +71,14 @@ __getattr__ = _lazy(globals(), {
 _module = sys.modules[__name__]
 
 DEFAULT_ORDER = 64
+# The largest order of the table commands (compositae, loggf, theorem),
+# which build a triangle of about order^2/2 big ints.  For ones, the
+# densest built-in kind, `compositae --order 1000 --format json` took
+# 19 s and 160 MB and --order 1500 took 83 s and 465 MB on 2 vCPUs: time
+# grows about as order^4 and memory as order^3.  witness and scan stay
+# uncapped: they stream O(order) values, and sparse series need large
+# orders there.
+MAX_TABLE_ORDER = 1000
 
 EXIT_OK = 0
 EXIT_WITNESSED = 1
@@ -102,7 +110,7 @@ def loggf_to_payload(ls: LogSuperposition) -> dict:
     return {
         "order": ls.order,
         "ng": Decimals(ls.ng),
-        "g": Decimals(ls.g.coeff(n) for n in range(1, ls.order + 1)),
+        "g": Decimals(ls.g),
         "h": Decimals(ls.h),
     }
 
@@ -210,8 +218,11 @@ def _lines(lines: Iterable[str]) -> Emit:
     return emit
 
 
-def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
-    """The --seq series at --order (default max(64, at_least)), which must reach at_least."""
+def _build_series(
+    args: argparse.Namespace, at_least: int = 1, max_order: int | None = None
+) -> IntSeries:
+    """The --seq series at --order (default max(64, at_least)), which must
+    reach at_least and, if max_order is given, not pass it."""
     if args.seq is None:
         raise UsageError("--seq is required for this command")
     order = args.order if args.order is not None else max(DEFAULT_ORDER, at_least)
@@ -220,11 +231,15 @@ def _build_series(args: argparse.Namespace, at_least: int = 1) -> IntSeries:
     spec = SequenceSpec(kind=args.seq, order=order)  # checks order >= 1 and the kind
     if order < at_least:
         raise UsageError(f"--order {order} is below the largest requested n ({at_least})")
+    if max_order is not None and order > max_order:
+        raise UsageError(
+            f"order {order} is above {max_order}, the largest order of compositae, loggf and theorem"
+        )
     return _module.make_series(spec)
 
 
 def cmd_compositae(args: argparse.Namespace) -> tuple[int, Emit]:
-    f = _build_series(args)
+    f = _build_series(args, max_order=MAX_TABLE_ORDER)
     table = _module.compositae_dp(f, f.order)
     if args.format == "json":
         return EXIT_OK, _json(
@@ -236,7 +251,7 @@ def cmd_compositae(args: argparse.Namespace) -> tuple[int, Emit]:
 
 
 def cmd_loggf(args: argparse.Namespace) -> tuple[int, Emit]:
-    f = _build_series(args)
+    f = _build_series(args, max_order=MAX_TABLE_ORDER)
     ls = _module.log_superposition(f, f.order)
     if args.format == "json":
         return EXIT_OK, _json(
@@ -244,14 +259,14 @@ def cmd_loggf(args: argparse.Namespace) -> tuple[int, Emit]:
         )
     head = [f"log-superposition  seq={args.seq}  order={f.order}", "n\tng(n)\tg(n)\th(n)"]
     rows = (
-        f"{n}\t{ngn}\t{ls.g.coeff(n)}\t{hn}"
-        for n, (ngn, hn) in enumerate(zip(ls.ng, ls.h), start=1)
+        f"{n}\t{ngn}\t{gn}\t{hn}"
+        for n, (ngn, gn, hn) in enumerate(zip(ls.ng, ls.g, ls.h), start=1)
     )
     return EXIT_OK, _lines(chain(head, rows))
 
 
 def cmd_theorem(args: argparse.Namespace) -> tuple[int, Emit]:
-    f = _build_series(args, at_least=args.n)
+    f = _build_series(args, at_least=args.n, max_order=MAX_TABLE_ORDER)
     value = _module.theorem_sum(f, args.n)
     if args.format == "json":
         return EXIT_OK, _json(

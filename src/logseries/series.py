@@ -5,8 +5,8 @@ Conventions:
     constant term; valid indices are 1..order.
   - RatSeries holds sum_{n>=0} c(n) x^n with Fraction coefficients;
     valid indices are 0..order.
-  - LogSeries holds an integer sequence a(n), n>=1, and materializes to
-    the rational series with c(n) = a(n)/n and c(0) = 0.
+  - An integer sequence a(n), n>=1, such as the a of statements 2.1 and
+    2.2, is an IntSeries too: its coefficient n is a(n).
   - Storage is sparse: an absent index means coefficient 0.
   - Truncation order is explicit state.
 
@@ -38,11 +38,11 @@ if TYPE_CHECKING:  # names for annotations only
 _NO_COEFFS: Mapping = MappingProxyType({})
 
 
-def _normalize_int_coeffs(coeffs: Mapping[int, int], order: int, min_index: int) -> dict[int, int]:
+def _normalize_int_coeffs(coeffs: Mapping[int, int], order: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for idx, value in coeffs.items():
-        if not isinstance(idx, int) or idx < min_index or idx > order:
-            raise ValueError(f"coefficient index {idx!r} outside [{min_index}, {order}]")
+        if not isinstance(idx, int) or idx < 1 or idx > order:
+            raise ValueError(f"coefficient index {idx!r} outside [1, {order}]")
         if not isinstance(value, int):
             raise TypeError(f"coefficient at index {idx} is not an integer: {value!r}")
         if value != 0:
@@ -64,7 +64,7 @@ class IntSeries(Value):
         if order < 1:
             raise ValueError("IntSeries order must be a positive integer")
         set_field(self, "order", order)
-        set_field(self, "coeffs", _normalize_int_coeffs(coeffs, order, 1))
+        set_field(self, "coeffs", _normalize_int_coeffs(coeffs, order))
 
     @classmethod
     def from_values(cls, values: Iterable[int], order: int | None = None) -> IntSeries:
@@ -110,32 +110,3 @@ class RatSeries(Value):
         from fractions import Fraction
 
         return self.coeffs.get(n, Fraction(0))
-
-
-class LogSeries(Value):
-    """Integer sequence a(n), n>=1, denoting the series sum a(n)/n x^n."""
-
-    __slots__ = ("order", "a")
-    order: int
-    a: dict[int, int]
-
-    def __init__(self, order: int, a: Mapping[int, int] = _NO_COEFFS) -> None:
-        if order < 1:
-            raise ValueError("LogSeries order must be a positive integer")
-        set_field(self, "order", order)
-        set_field(self, "a", _normalize_int_coeffs(a, order, 1))
-
-    @classmethod
-    def ones(cls, order: int) -> LogSeries:
-        return cls(order, {n: 1 for n in range(1, order + 1)})
-
-    def coeff_a(self, n: int) -> int:
-        if n < 1 or n > self.order:
-            raise IndexError(f"index {n} outside 1..{self.order}")
-        return self.a.get(n, 0)
-
-    def to_rat(self) -> RatSeries:
-        """Materialize to the rational series c(n) = a(n)/n, c(0) = 0."""
-        from fractions import Fraction
-
-        return RatSeries(self.order, {n: Fraction(v, n) for n, v in self.a.items()})

@@ -23,10 +23,11 @@ D, w(k) = W(k)/D, so a row sum is one integer dot product and one Fraction:
 
     sum_k F_delta(n, k) w(k) = (sum_k F_delta(n, k) W(k)) / D.
 
-_reciprocal_weights builds the weights a(k)/k without Fractions.
-log_superposition (n*g(n)) and statement21_check take n times the row
-sum through _n_times_row_sums, and every value that must be an integer
-is checked by _integral.
+The integer sequence a of statements 2.1 and 2.2 is an IntSeries, whose
+coefficient k is a(k); _reciprocal_weights builds the weights a(k)/k
+without Fractions.  log_superposition (n*g(n)) and statement21_check
+take n times the row sum through _n_times_row_sums, and every value that
+must be an integer is checked by _integral.
 
 The generic witness needs n*g(n) only, and compositae._h_and_ng streams
 it without a triangle, from G' = F' H with H = 1/(1-F); every sum here
@@ -42,7 +43,7 @@ from operator import mul
 
 from ._value import Value, set_field
 from .compositae import CompositaeTable, compositae_dp
-from .series import IntSeries, LogSeries, RatSeries
+from .series import IntSeries, RatSeries
 
 
 class IntegralityError(ArithmeticError):
@@ -73,17 +74,17 @@ def _scale_weights(weights: Sequence[Fraction]) -> ScaledWeights:
     return [w.numerator * (den // w.denominator) for w in weights], den
 
 
-def _reciprocal_weights(n: int, a: LogSeries | None = None) -> ScaledWeights:
+def _reciprocal_weights(n: int, a: IntSeries | None = None) -> ScaledWeights:
     """The weights a(k)/k for k = 1..n over den = lcm(1..n), built without Fractions.
 
-    Without `a` the weights are 1/k, and the result equals _scale_weights
-    of them.  With `a` the denominator is not reduced, which leaves every
-    row sum's value unchanged.
+    a(k) is a.coeff(k).  Without `a` the weights are 1/k, and the result
+    equals _scale_weights of them.  With `a` the denominator is not
+    reduced, which leaves every row sum's value unchanged.
     """
     den = math.lcm(*range(1, n + 1))
     if a is None:
         return [den // k for k in range(1, n + 1)], den
-    return [a.coeff_a(k) * (den // k) for k in range(1, n + 1)], den
+    return [a.coeff(k) * (den // k) for k in range(1, n + 1)], den
 
 
 def _row_sum(row: Sequence[int], scaled: ScaledWeights) -> Fraction:
@@ -101,17 +102,20 @@ def _row_sum(row: Sequence[int], scaled: ScaledWeights) -> Fraction:
 class LogSuperposition(Value):
     """g, n*g(n) and h for G = ln(1/(1-F)) and H = 1/(1-F).
 
-    ng[i] = (i+1) * g(i+1) as exact integers; h[i] = h(i+1) is the
-    row sum of the compositae triangle.
+    Three tuples indexed alike, from n = 1: g[i] = g(i+1) as an exact
+    Fraction, ng[i] = (i+1) * g(i+1) as an exact integer, and h[i] = h(i+1),
+    the row sum of the compositae triangle.
     """
 
     __slots__ = ("order", "g", "ng", "h")
     order: int
-    g: RatSeries
+    g: tuple[Fraction, ...]
     ng: tuple[int, ...]
     h: tuple[int, ...]
 
-    def __init__(self, order: int, g: RatSeries, ng: tuple[int, ...], h: tuple[int, ...]) -> None:
+    def __init__(
+        self, order: int, g: tuple[Fraction, ...], ng: tuple[int, ...], h: tuple[int, ...]
+    ) -> None:
         set_field(self, "order", order)
         set_field(self, "g", g)
         set_field(self, "ng", ng)
@@ -156,7 +160,7 @@ def log_superposition(f: IntSeries, order: int) -> LogSuperposition:
     ng = _n_times_row_sums("n*g(n)", tab, _reciprocal_weights(order))
     return LogSuperposition(
         order=order,
-        g=RatSeries(order, {n: Fraction(ngn, n) for n, ngn in enumerate(ng, start=1)}),
+        g=tuple(Fraction(ngn, n) for n, ngn in enumerate(ng, start=1)),
         ng=ng,
         h=tuple(sum(row) for row in tab.rows),
     )
@@ -194,7 +198,7 @@ def corollary_sum(f: IntSeries, n: int, *, table: CompositaeTable | None = None)
     return _row_sum(_row(f, n, table), _reciprocal_weights(n - 1))
 
 
-def statement21_check(f: IntSeries, a: LogSeries, order: int) -> list[int]:
+def statement21_check(f: IntSeries, a: IntSeries, order: int) -> list[int]:
     """Derivative-superposition values zdot(n) = sum_k (n/k) F_delta(n,k) a(k), n = 1..order.
 
     zdot(n) is n*z(n) for Z = superpose(A, F) with A = sum a(k)/k x^k,
@@ -210,7 +214,7 @@ def statement21_check(f: IntSeries, a: LogSeries, order: int) -> list[int]:
     return list(_n_times_row_sums("derivative superposition value", tab, weights))
 
 
-def statement22_check(f: IntSeries, a: LogSeries, n: int) -> Fraction:
+def statement22_check(f: IntSeries, a: IntSeries, n: int) -> Fraction:
     """Truncated superposition sum_{k=1}^{n-1} (a(k)/k) * F_delta(n, k).
 
     Integral whenever n is prime; returned exactly with no primality

@@ -3,7 +3,9 @@
 Each is an independent route to a quantity the package computes through
 the compositae triangle: the Cauchy product and Horner composition for
 superpose(), 1/(1 - F) for the row sums h(n), and G' = F'/(1 - F) for
-n*g(n); and trial division for the primes1 coefficients, which the
+n*g(n); the series A = sum a(k)/k x^k of an integer sequence a, the
+outer series whose superposition statements 2.1 and 2.2 sum; and trial
+division for the primes1 coefficients, which the
 package reads off its prime sieve.  None of them is on a production
 path, so they live here.
 """
@@ -99,8 +101,13 @@ def derivative_identity_residual(f: IntSeries) -> RatSeries:
     frat = f.to_rat()
     lhs = series_mul(series_derivative(frat), geometric_inverse(f))
     g = log_superposition(f, f.order).g
-    rhs = series_derivative(g)
+    rhs = series_derivative(RatSeries(f.order, {n: g[n - 1] for n in range(1, f.order + 1)}))
     return series_add(lhs, RatSeries(rhs.order, {n: -c for n, c in rhs.coeffs.items()}))
+
+
+def log_series(a: IntSeries) -> RatSeries:
+    """A = sum_{k>=1} a(k)/k x^k, with A(0) = 0, for the integer sequence a."""
+    return RatSeries(a.order, {k: Fraction(v, k) for k, v in a.coeffs.items()})
 
 
 def primes1_values(order: int) -> list[int]:

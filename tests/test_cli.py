@@ -113,7 +113,7 @@ def test_loggf_json_round_trips(capsys):
     result = doc["result"]
     assert result["order"] == ls.order
     assert [int(v) for v in result["ng"]] == list(ls.ng)
-    assert [Fraction(v) for v in result["g"]] == [ls.g.coeff(n) for n in range(1, 11)]
+    assert [Fraction(v) for v in result["g"]] == [ls.g[n - 1] for n in range(1, 11)]
     assert [int(v) for v in result["h"]] == list(ls.h)
     assert result["ng"][-1] == "92378"
 
@@ -178,6 +178,33 @@ def test_order_below_one_is_usage_error_for_every_command(capsys, argv, order):
     code, out, err = run(capsys, *argv, "--order", order)
     assert (code, out) == (2, "")
     assert err == f"logseries {argv[0]}: error: sequence order must be a positive integer\n"
+
+
+ABOVE_CAP = "1001"  # cli.MAX_TABLE_ORDER + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compositae", "--seq", "ones", "--order", ABOVE_CAP],
+        ["loggf", "--seq", "ones", "--order", ABOVE_CAP],
+        ["theorem", "--seq", "ones", "--n", "6", "--order", ABOVE_CAP],
+        ["theorem", "--seq", "ones", "--n", ABOVE_CAP],
+    ],
+    ids=["compositae", "loggf", "theorem-order", "theorem-n"],
+)
+def test_order_above_the_table_cap_exits_2_before_the_series_is_built(capsys, monkeypatch, argv):
+    # Only cap + 1 is tried, so no test builds a triangle this large.  The
+    # cap is at least 1000, the largest order of the benchmark's jobs.
+    assert cli.MAX_TABLE_ORDER == 1000
+    calls = []
+    monkeypatch.setattr(cli._module, "make_series", lambda spec: calls.append(spec))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err == (
+        f"logseries {argv[0]}: error: order 1001 is above 1000, "
+        "the largest order of compositae, loggf and theorem\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -89,3 +89,16 @@ def test_central_binomial_at_99999744_runs_below_200_mb_of_address_space():
     assert (code, err) == (1, "")
     assert '    "residue": "37499903",' in out.splitlines()
 
+
+def test_an_order_above_the_table_cap_exits_2_below_200_mb_of_address_space():
+    # The cap is checked before the series is built, so the 10^8 coefficients
+    # of ones are never allocated.
+    code, out, err = logseries(
+        "compositae", "--seq", "ones", "--order", "100000000", preexec_fn=limit_address_space,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "logseries compositae: error: order 100000000 is above 1000, "
+        "the largest order of compositae, loggf and theorem\n"
+    )
+

@@ -99,7 +99,7 @@ def test_importing_the_package_loads_no_submodule_and_submodules_still_import():
 
 def test_every_public_name_is_its_defining_modules_object():
     assert logseries.__all__ == sorted(name for names in logseries._EXPORTS.values() for name in names)
-    assert len(set(logseries.__all__)) == len(logseries.__all__) == 34
+    assert len(set(logseries.__all__)) == len(logseries.__all__) == 33
     for module_name, names in logseries._EXPORTS.items():
         module = importlib.import_module(f"logseries.{module_name}")
         for name in names:
@@ -125,6 +125,21 @@ def test_the_package_ships_no_compositae_oracle_and_no_index_accessor():
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(superposition.LogSuperposition, "ng_at")
     assert not hasattr(superposition.LogSuperposition, "h_at")
+
+
+def test_the_package_has_one_integer_sequence_type():
+    # The a of statements 2.1 and 2.2 is an IntSeries; tests/series_oracles.py::log_series
+    # makes its series sum a(k)/k x^k.
+    from logseries import series
+
+    for module in (logseries, series):
+        assert not hasattr(module, "LogSeries"), module.__name__
+    assert "LogSeries" not in logseries.__all__
+    classes = [
+        name for name, value in vars(series).items()
+        if isinstance(value, type) and value.__module__ == series.__name__
+    ]
+    assert classes == ["IntSeries", "RatSeries"]
 
 
 @pytest.mark.parametrize("module", [logseries, cli, witnesses], ids=lambda m: m.__name__)

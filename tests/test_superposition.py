@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from logseries import (
     IntSeries,
     IntegralityError,
-    LogSeries,
     RatSeries,
     compositae_dp,
     corollary_sum,
@@ -35,6 +34,7 @@ from series_oracles import (
     compose_truncated,
     derivative_identity_residual,
     geometric_inverse,
+    log_series,
     series_derivative,
     series_mul,
 )
@@ -72,7 +72,7 @@ def series_and_log_weights(draw):
     if draw(st.booleans()):
         f_vals[0] = 0
     a_vals = draw(st.lists(st.just(0) | st.integers(-50, 50), min_size=order, max_size=order))
-    return IntSeries.from_values(f_vals), LogSeries(order, dict(enumerate(a_vals, start=1)))
+    return IntSeries.from_values(f_vals), IntSeries(order, dict(enumerate(a_vals, start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +105,12 @@ def test_row_sum_edge_cases():
 
 
 def test_reciprocal_weights_scale_one_over_k():
-    a = LogSeries(39, {k: (-1) ** k * (k % 4) for k in range(1, 40)})  # signed, with zeros
+    a = IntSeries(39, {k: (-1) ** k * (k % 4) for k in range(1, 40)})  # signed, with zeros
     for n in range(0, 40):
         assert _reciprocal_weights(n) == _scale_weights([Fraction(1, k) for k in range(1, n + 1)])
         ints, den = _reciprocal_weights(n, a)
         assert [Fraction(w, den) for w in ints] == [
-            Fraction(a.coeff_a(k), k) for k in range(1, n + 1)
+            Fraction(a.coeff(k), k) for k in range(1, n + 1)
         ]
 
 
@@ -126,7 +126,7 @@ def test_superpose_geometric():
 
 
 def test_superpose_log_series_of_ones():
-    r = LogSeries.ones(3).to_rat()
+    r = log_series(ones(3))
     z = superpose(r, ones(3), 3)
     assert z.coeff(3) == Fraction(7, 3)  # (2^3 - 1) / 3
 
@@ -181,7 +181,7 @@ def test_log_superposition_shifted_catalan():
 def test_log_superposition_of_x():
     ls = log_superposition(IntSeries(9, {1: 1}), 9)
     assert list(ls.ng) == [1] * 9
-    assert ls.g.coeff(4) == Fraction(1, 4)
+    assert ls.g[4 - 1] == Fraction(1, 4)
 
 
 def test_log_superposition_h_matches_geometric_inverse():
@@ -189,6 +189,16 @@ def test_log_superposition_h_matches_geometric_inverse():
     ls = log_superposition(f, 5)
     h = geometric_inverse(f)
     assert list(ls.h) == [h.coeff(n) for n in range(1, 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_series(max_order=40, lo=-99, hi=99))
+def test_log_superposition_g_ng_and_h_are_tuples_indexed_alike(f):
+    ls = log_superposition(f, f.order)
+    assert type(ls.g) is type(ls.ng) is type(ls.h) is tuple
+    assert len(ls.g) == len(ls.ng) == len(ls.h) == f.order
+    for i, gi in enumerate(ls.g):
+        assert type(gi) is Fraction and gi == Fraction(ls.ng[i], i + 1)
 
 
 def test_log_superposition_accessors():
@@ -226,7 +236,7 @@ def test_theorem_sum_equals_n_g_n():
     f = IntSeries.from_values([3, -2, 0, 5, 1, -4])
     ls = log_superposition(f, 6)
     for n in range(1, 7):
-        assert theorem_sum(f, n) == ls.ng[n - 1] == n * ls.g.coeff(n)
+        assert theorem_sum(f, n) == ls.ng[n - 1] == n * ls.g[n - 1]
 
 
 def test_theorem_sum_bounds():
@@ -278,24 +288,24 @@ def test_theorem_corollary_consistency(f, data):
 
 def test_statement21_with_unit_sequence_reduces_to_theorem_sum():
     f = IntSeries.from_values([2, 0, -1, 3, 5])
-    values = statement21_check(f, LogSeries.ones(5), 5)
+    values = statement21_check(f, ones(5), 5)
     assert values == [theorem_sum(f, n) for n in range(1, 6)]
 
 
 def test_statement21_with_f_x_returns_a():
-    a = LogSeries(5, {1: 4, 2: -7, 4: 2, 5: 9})
+    a = IntSeries(5, {1: 4, 2: -7, 4: 2, 5: 9})
     assert statement21_check(IntSeries(5, {1: 1}), a, 5) == [4, -7, 0, 2, 9]
 
 
 def test_statement21_fib_gf_frozen_oracle_values():
     # oracle: zdot(n) = sum_k (n/k) F_delta(n,k) a(k) by brute-force enumeration
     f = IntSeries(5, {1: 1, 2: 1})
-    a = LogSeries(5, {1: 1, 2: -2, 3: 3, 4: -4, 5: 5})
+    a = IntSeries(5, {1: 1, 2: -2, 3: 3, 4: -4, 5: 5})
     values = statement21_check(f, a, 5)
     assert values == [1, 0, -3, 4, 0]
     oracle = [
         sum(
-            Fraction(n, k) * compositae_bruteforce(f, n, k) * a.coeff_a(k)
+            Fraction(n, k) * compositae_bruteforce(f, n, k) * a.coeff(k)
             for k in range(1, n + 1)
         )
         for n in range(1, 6)
@@ -309,7 +319,7 @@ def test_statement21_always_integral(f, data):
     a_vals = data.draw(
         st.lists(st.integers(-50, 50), min_size=f.order, max_size=f.order)
     )
-    values = statement21_check(f, LogSeries(f.order, dict(enumerate(a_vals, start=1))), f.order)
+    values = statement21_check(f, IntSeries(f.order, dict(enumerate(a_vals, start=1))), f.order)
     assert all(v.denominator == 1 for v in values)
 
 
@@ -318,7 +328,7 @@ def test_statement21_always_integral(f, data):
 def test_statement21_is_n_times_the_superposed_log_series(fa):
     # oracle: Z = superpose(A, f) with A = sum a(k)/k x^k, through Fraction weights
     f, a = fa
-    z = superpose(a.to_rat(), f, f.order)
+    z = superpose(log_series(a), f, f.order)
     assert statement21_check(f, a, f.order) == [n * z.coeff(n) for n in range(1, f.order + 1)]
 
 
@@ -328,36 +338,46 @@ def test_statement22_matches_bruteforce_truncated_sum(fa, data):
     f, a = fa
     n = data.draw(st.integers(min_value=1, max_value=f.order))
     oracle = sum(
-        (Fraction(a.coeff_a(k), k) * compositae_bruteforce(f, n, k) for k in range(1, n)),
+        (Fraction(a.coeff(k), k) * compositae_bruteforce(f, n, k) for k in range(1, n)),
         Fraction(0),
     )
     assert statement22_check(f, a, n) == oracle
 
 
+@settings(max_examples=60)
+@given(series_and_log_weights(), st.data())
+def test_statement22_is_the_superposed_log_series_without_its_k_equals_n_term(fa, data):
+    # oracle: z(n) of Z = superpose(A, f), less its k = n term (a(n)/n) F_delta(n, n) = (a(n)/n) f(1)^n
+    f, a = fa
+    n = data.draw(st.integers(min_value=1, max_value=f.order))
+    z = superpose(log_series(a), f, n)
+    assert statement22_check(f, a, n) == z.coeff(n) - Fraction(a.coeff(n), n) * f.coeff(1) ** n
+
+
 def test_statement22_with_unit_sequence_is_corollary_sum():
     f = IntSeries.from_values([3, 1, -2, 0, 4, 1, 2])
-    a = LogSeries.ones(7)
+    a = ones(7)
     for n in range(1, 8):
         assert statement22_check(f, a, n) == corollary_sum(f, n)
 
 
 def test_statement22_ones_at_prime_7():
-    assert statement22_check(ones(7), LogSeries.ones(7), 7) == 18
+    assert statement22_check(ones(7), ones(7), 7) == 18
 
 
 def test_statement22_composite_341_is_fermat_pseudoprime_case():
     # 341 = 11 * 31 is composite, yet 2^340 = 1 (mod 341) keeps the sum integral
     assert pow(2, 340, 341) == 1
-    value = statement22_check(ones(341), LogSeries.ones(341), 341)
+    value = statement22_check(ones(341), ones(341), 341)
     assert value.denominator == 1
     assert value == Fraction(2**341 - 2, 341)
 
 
 def test_order_preconditions_raise():
     with pytest.raises(ValueError):
-        statement21_check(IntSeries(3, {1: 1}), LogSeries.ones(5), 5)
+        statement21_check(IntSeries(3, {1: 1}), ones(5), 5)
     with pytest.raises(ValueError):
-        statement22_check(IntSeries(3, {1: 1}), LogSeries.ones(5), 4)
+        statement22_check(IntSeries(3, {1: 1}), ones(5), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +475,19 @@ def test_log_superposition_raises_on_a_fractional_ng(monkeypatch):
         (lambda: witness_generic(ones(5), 1), "witness requires n >= 2"),
         (lambda: compositae_dp(ones(5), 0), "order must be a positive integer"),
         (
-            lambda: statement22_check(ones(5), LogSeries.ones(5), 0),
+            lambda: statement22_check(ones(5), ones(5), 0),
             "n must be a positive integer",
         ),
         (
-            lambda: statement21_check(ones(5), LogSeries.ones(4), 5),
+            lambda: statement21_check(ones(5), ones(4), 5),
             r"order 5 exceeds an input order \(f: 5, a: 4\)",
         ),
         (
-            lambda: statement21_check(ones(4), LogSeries.ones(5), 5),
+            lambda: statement21_check(ones(4), ones(5), 5),
             r"order 5 exceeds an input order \(f: 4, a: 5\)",
         ),
         (
-            lambda: statement21_check(ones(5), LogSeries.ones(5), 0),
+            lambda: statement21_check(ones(5), ones(5), 0),
             "^order must be a positive integer$",
         ),
     ],
