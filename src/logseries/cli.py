@@ -341,33 +341,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, seq: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if seq:
-            p.add_argument(
-                "--seq",
-                help="sequence kind: ones | primes1 | fib-gf | catalan-shifted | "
-                "file:<path> | inline:<ints>",
-            )
-            p.add_argument("--order", type=int, default=None, help="truncation order (default 64)")
+        p.add_argument(
+            "--seq",
+            help="sequence kind: ones | primes1 | fib-gf | catalan-shifted | "
+            "file:<path> | inline:<ints>",
+        )
+        p.add_argument(
+            "--order", type=int, default=None, help="truncation order (default max(64, --n or --hi))"
+        )
 
     p = sub.add_parser("compositae", help="print the compositae triangle of a series")
-    common(p, seq=True)
+    common(p)
 
     p = sub.add_parser("loggf", help="print ng, exact g, and h for ln(1/(1-F))")
-    common(p, seq=True)
+    common(p)
 
     p = sub.add_parser("theorem", help="exact sum of (n/k)*F_delta(n,k) with integrality verdict")
-    common(p, seq=True)
+    common(p)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("witness", help="run one compositeness witness at one n")
-    common(p, seq=True)
+    common(p)
     p.add_argument("--test", choices=NAMED_TESTS + (GENERIC,), required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("scan", help="exhaustively hunt pseudoprimes in [lo, hi]")
-    common(p, seq=True)
+    common(p)
     p.add_argument("--test", choices=NAMED_TESTS + (GENERIC,), required=True)
     p.add_argument("--lo", type=int, default=2)
     p.add_argument("--hi", type=int, required=True)

@@ -93,23 +93,20 @@ def load_coefficient_file(path: str | Path) -> list[int]:
 
 
 def make_series(spec: SequenceSpec) -> IntSeries:
-    """Materialize a SequenceSpec into an IntSeries at its order."""
+    """Materialize a SequenceSpec: its kind's values, cut to its order by IntSeries.from_values."""
     order = spec.order
     kind = spec.kind
     if kind == "ones":
-        return IntSeries(order, {i: 1 for i in range(1, order + 1)})
-    if kind == "primes1":
-        return IntSeries.from_values(_primes1_values(order), order)
-    if kind == "fib-gf":
-        coeffs = {1: 1}
-        if order >= 2:
-            coeffs[2] = 1
-        return IntSeries(order, coeffs)
-    if kind == "catalan-shifted":
-        return IntSeries.from_values(_catalan_shifted_values(order), order)
-    if kind.startswith("file:"):
-        return IntSeries.from_values(load_coefficient_file(kind[len("file:"):]), order)
-    if kind.startswith("inline:"):
+        values = [1] * order
+    elif kind == "primes1":
+        values = _primes1_values(order)
+    elif kind == "fib-gf":
+        values = [1, 1]
+    elif kind == "catalan-shifted":
+        values = _catalan_shifted_values(order)
+    elif kind.startswith("file:"):
+        values = load_coefficient_file(kind[len("file:"):])
+    else:  # inline:, the one kind left that SequenceSpec accepts
         body = kind[len("inline:"):]
         fields = [part.strip() for part in body.split(",")]
         if "" in fields:
@@ -118,5 +115,4 @@ def make_series(spec: SequenceSpec) -> IntSeries:
             values = [int(part) for part in fields]
         except ValueError:
             raise ValueError(f"inline coefficients must be integers: {body!r}") from None
-        return IntSeries.from_values(values, order)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    return IntSeries.from_values(values, order)

@@ -71,15 +71,12 @@ class IntSeries(Value):
         """Build from a 1-based coefficient list: values[i] is f(i+1)."""
         vals = list(values)
         n = order if order is not None else len(vals)
-        return cls(n, {i + 1: v for i, v in enumerate(vals[:n])})
+        return cls(n, dict(zip(range(1, n + 1), vals)))
 
     def coeff(self, n: int) -> int:
         if n < 1 or n > self.order:
             raise IndexError(f"index {n} outside 1..{self.order}")
         return self.coeffs.get(n, 0)
-
-    def to_rat(self) -> RatSeries:
-        return RatSeries(self.order, self.coeffs)
 
 
 class RatSeries(Value):

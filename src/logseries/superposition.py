@@ -77,14 +77,12 @@ def _scale_weights(weights: Sequence[Fraction]) -> ScaledWeights:
 def _reciprocal_weights(n: int, a: IntSeries | None = None) -> ScaledWeights:
     """The weights a(k)/k for k = 1..n over den = lcm(1..n), built without Fractions.
 
-    a(k) is a.coeff(k).  Without `a` the weights are 1/k, and the result
-    equals _scale_weights of them.  With `a` the denominator is not
-    reduced, which leaves every row sum's value unchanged.
+    a(k) is a.coeff(k), or 1 without `a`: then the weights are 1/k and the
+    result equals _scale_weights of them.  With `a` the denominator is
+    not reduced, which leaves every row sum's value unchanged.
     """
     den = math.lcm(*range(1, n + 1))
-    if a is None:
-        return [den // k for k in range(1, n + 1)], den
-    return [a.coeff(k) * (den // k) for k in range(1, n + 1)], den
+    return [(1 if a is None else a.coeff(k)) * (den // k) for k in range(1, n + 1)], den
 
 
 def _row_sum(row: Sequence[int], scaled: ScaledWeights) -> Fraction:

@@ -209,21 +209,16 @@ def lucas_number(n: int, mod: int | None = None) -> int:
         V(2k) = V(k)^2 - 2,   V(2k+1) = V(k) V(k+1) - 3,
 
     and returns L(2k) = V(k) or L(2k+1) = V(k+1) - V(k).  Its Q is 1, so
-    no (-1)^k sign is carried.  With `mod` every step is reduced, so the
-    full L(n) is never materialized; without it the exact integer is
-    returned.
+    no (-1)^k sign is carried.  Every step is reduced mod `mod`, so the
+    full L(n) is never materialized; without `mod` the result is the
+    exact integer L(n).
     """
     if n < 1:
         raise ValueError("Lucas numbers are indexed from 1 here")
+    if mod is None:
+        mod = 1 << n  # 0 < L(n) < 2^n, so L(n) mod 2^n is L(n) itself
     bits = bin(n >> 1)[2:]
     a, b = 2, 3  # V(0), V(1)
-    if mod is None:
-        for bit in bits:
-            if bit == "1":
-                a, b = a * b - 3, b * b - 2
-            else:
-                a, b = a * a - 2, a * b - 3
-        return b - a if n & 1 else a
     for bit in bits:
         if bit == "1":
             a, b = (a * b - 3) % mod, (b * b - 2) % mod
@@ -462,13 +457,12 @@ def _generic_report(n: int, ng: int, f1: int, series_id: str) -> WitnessReport:
 class ScanResult(Value):
     """Exhaustive witness scan over [lo, hi] with ground-truth verdicts."""
 
-    __slots__ = ("lo", "hi", "test", "pseudoprimes", "primes_checked", "composites_checked")
+    __slots__ = ("lo", "hi", "test", "pseudoprimes", "primes_checked")
     lo: int
     hi: int
     test: str
     pseudoprimes: tuple[int, ...]
     primes_checked: int
-    composites_checked: int
 
     def __init__(
         self,
@@ -477,14 +471,17 @@ class ScanResult(Value):
         test: str,
         pseudoprimes: tuple[int, ...],
         primes_checked: int,
-        composites_checked: int,
     ) -> None:
         set_field(self, "lo", lo)
         set_field(self, "hi", hi)
         set_field(self, "test", test)
         set_field(self, "pseudoprimes", pseudoprimes)
         set_field(self, "primes_checked", primes_checked)
-        set_field(self, "composites_checked", composites_checked)
+
+    @property
+    def composites_checked(self) -> int:
+        """Derived: every other n in [lo, hi] is composite."""
+        return self.hi - self.lo + 1 - self.primes_checked
 
 
 def _witness_for(
@@ -553,20 +550,16 @@ def scan_pseudoprimes(
 
     pseudo: list[int] = []
     primes = 0
-    composites = 0
     for n in range(lo, hi + 1):
         report = witness(n)
         if report.is_prime_actual:
             primes += 1
-        else:
-            composites += 1
-            if report.passes:
-                pseudo.append(n)
+        elif report.passes:
+            pseudo.append(n)
     return ScanResult(
         lo=lo,
         hi=hi,
         test=test,
         pseudoprimes=tuple(pseudo),
         primes_checked=primes,
-        composites_checked=composites,
     )

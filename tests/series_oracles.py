@@ -98,7 +98,7 @@ def derivative_identity_residual(f: IntSeries) -> RatSeries:
     The product-of-series route to n*g(n): the coefficient of x^{n-1} in
     F'(x) * H(x) equals n*g(n), an independent check on log_superposition.
     """
-    frat = f.to_rat()
+    frat = RatSeries(f.order, f.coeffs)
     lhs = series_mul(series_derivative(frat), geometric_inverse(f))
     g = log_superposition(f, f.order).g
     rhs = series_derivative(RatSeries(f.order, {n: g[n - 1] for n in range(1, f.order + 1)}))

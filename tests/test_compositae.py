@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logseries import CompositaeTable, IntSeries, SequenceSpec, compositae_dp, make_series
+from logseries import CompositaeTable, IntSeries, RatSeries, SequenceSpec, compositae_dp, make_series
 from logseries import compositae
 from logseries.compositae import (
     PACKED_MIN_SUPPORT,
@@ -317,7 +317,7 @@ def test_dp_matches_powers_of_f(f):
     # support term (which assigns its slice) and for later ones, f(1) = 0,
     # and the packed kernel on each side of its slot-width steps.
     table = compositae_dp(f, f.order)
-    rat = f.to_rat()
+    rat = RatSeries(f.order, f.coeffs)
     power = rat
     for k in range(1, f.order + 1):
         for n in range(k, f.order + 1):
