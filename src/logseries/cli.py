@@ -92,27 +92,16 @@ class UsageError(ValueError):
 
 # ---------------------------------------------------------------------------
 # JSON encoders.  Exact values are decimal strings in the JSON: an encoder
-# gives one value as its str() and a list of them as Decimals.
-
-class Decimals(tuple):
-    """Exact numbers (ints, Fractions) that render_json writes as a list of
-    their str(), in one %-format call over the tuple: digits, '-' and '/'
-    need no JSON escape."""
-
-    __slots__ = ()
+# gives one value as its str() and a list of them as the result's own tuple,
+# which render_json writes as the list of its items' str().
 
 
 def table_to_payload(table: CompositaeTable) -> dict:
-    return {"order": table.order, "rows": list(map(Decimals, table.rows))}
+    return {"order": table.order, "rows": list(table.rows)}
 
 
 def loggf_to_payload(ls: LogSuperposition) -> dict:
-    return {
-        "order": ls.order,
-        "ng": Decimals(ls.ng),
-        "g": Decimals(ls.g),
-        "h": Decimals(ls.h),
-    }
+    return {"order": ls.order, "ng": ls.ng, "g": ls.g, "h": ls.h}
 
 
 def witness_to_payload(report: WitnessReport) -> dict:
@@ -132,7 +121,7 @@ def scan_to_payload(result: ScanResult) -> dict:
         "lo": str(result.lo),
         "hi": str(result.hi),
         "test": result.test,
-        "pseudoprimes": Decimals(result.pseudoprimes),
+        "pseudoprimes": result.pseudoprimes,
         "primes_checked": result.primes_checked,
         "composites_checked": result.composites_checked,
     }
@@ -147,12 +136,15 @@ Write = Callable[[str], object]
 
 def render_json(write: Write, command: str, inputs: dict, result: dict) -> None:
     """Write json.dumps({"command", "input", "result"}, indent=2), byte for
-    byte, with each Decimals list written as the list of its decimal strings.
+    byte, with each tuple written as the list of its items' decimal strings.
 
+    A tuple in a payload holds exact numbers (ints, Fractions) only: a
+    triangle row, g, ng, h or the pseudoprimes, passed as the result's own
+    tuple.  Lists, dicts and scalars are written as json.dumps writes them.
     The text goes to `write` in pieces as it is rendered and is never held
-    whole: one piece per key, separator and scalar, and one per Decimals
-    list (a triangle row, say), made by a single %-format call with one
-    '%s' per item, so no per-item str or joined copy is made.
+    whole: one piece per key, separator and scalar, and one per tuple, made
+    by a single %-format call with one '%s' per item, so no per-item str or
+    joined copy is made; digits, '-' and '/' need no JSON escape.
     """
     _render(write, {"command": command, "input": inputs, "result": result}, "\n")
 
@@ -171,10 +163,10 @@ def _render(write: Write, value, newline: str) -> None:
             _render(write, item, inner)
             sep = "," + inner
         write(newline + "}")
-    elif isinstance(value, Decimals) and value:
+    elif isinstance(value, tuple) and value:
         item = inner + '"%s"'
         write(("[" + item + ("," + item) * (len(value) - 1) + newline + "]") % value)
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, list) and value:
         sep = "[" + inner
         for item in value:
             write(sep)
@@ -278,7 +270,16 @@ def cmd_theorem(args: argparse.Namespace) -> tuple[int, Emit]:
     return EXIT_OK, _lines([f"theorem sum  seq={args.seq}  n={args.n}: {value} ({verdict})"])
 
 
+def _check_named_test(args: argparse.Namespace) -> None:
+    """A named test reads no series: --seq and --order are usage errors."""
+    if args.test != GENERIC and (args.seq is not None or args.order is not None):
+        raise UsageError(
+            f"--seq and --order apply only to --test {GENERIC}, not --test {args.test}"
+        )
+
+
 def cmd_witness(args: argparse.Namespace) -> tuple[int, Emit]:
+    _check_named_test(args)
     series = None
     if args.test == GENERIC:
         series = _build_series(args, at_least=args.n)
@@ -303,6 +304,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, Emit]:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[int, Emit]:
+    _check_named_test(args)
     _module._check_scan_range(args.lo, args.hi, args.threads)  # before a generic series is built
     series = None
     if args.test == GENERIC:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from logseries import compositae_dp, log_superposition, make_series, scan_pseudoprimes
 from logseries import SequenceSpec, cli, witness_fermat2, witness_lucas, witnesses
-from logseries.cli import Decimals, main, render_json, table_to_payload
+from logseries.cli import loggf_to_payload, main, render_json, scan_to_payload, table_to_payload
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,9 +82,11 @@ def test_compositae_json_text_is_json_dumps_of_the_string_rows(capsys, seq):
 
 
 def test_table_payload_holds_the_tables_own_ints():
+    # The payload passes the table's own row tuples: no row is copied.
     table = compositae_dp(make_series(SequenceSpec("fib-gf", 30)), 30)
     rows = table_to_payload(table)["rows"]
-    assert all(rows[i][k] is table.rows[i][k] for i in range(30) for k in range(i + 1))
+    assert len(rows) == 30
+    assert all(rows[i] is table.rows[i] for i in range(30))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,12 @@ def test_loggf_json_round_trips(capsys):
     assert [Fraction(v) for v in result["g"]] == [ls.g[n - 1] for n in range(1, 11)]
     assert [int(v) for v in result["h"]] == list(ls.h)
     assert result["ng"][-1] == "92378"
+
+
+def test_loggf_payload_holds_the_results_own_tuples():
+    ls = log_superposition(make_series(SequenceSpec("fib-gf", 30)), 30)
+    payload = loggf_to_payload(ls)
+    assert payload["ng"] is ls.ng and payload["g"] is ls.g and payload["h"] is ls.h
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +241,30 @@ def test_theorem_auto_raises_order_beyond_default(capsys):
 
 # ---------------------------------------------------------------------------
 # witness
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--test", "fermat2", "--n", "7", "--seq", "bogus", "--order", "-5"],
+        ["scan", "--test", "lucas", "--hi", "10", "--seq", "ones", "--order", "3"],
+        ["witness", "--test", "fermat2", "--n", "7", "--seq", "ones"],  # the CI line
+        ["scan", "--test", "central-binomial", "--hi", "10", "--order", "3"],
+    ],
+    ids=["witness-seq-and-order", "scan-seq-and-order", "witness-seq", "scan-order"],
+)
+def test_named_test_rejects_seq_and_order(capsys, monkeypatch, argv):
+    # A named test reads no series, so either option is a usage error,
+    # raised before any witness or scan runs.
+    calls = []
+    for name in ("_witness_for", "scan_pseudoprimes", "make_series"):
+        monkeypatch.setattr(cli._module, name, lambda *a, name=name, **k: calls.append(name))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err == (
+        f"logseries {argv[0]}: error: --seq and --order apply only to --test generic, "
+        f"not --test {argv[2]}\n"
+    )
 
 
 def test_witness_lucas_705_passes_flagged_pseudoprime(capsys):
@@ -389,6 +421,11 @@ def test_scan_generic_json_names_its_series_and_matches_fermat2(capsys):
         fermat2.primes_checked,
         fermat2.composites_checked,
     )
+
+
+def test_scan_payload_holds_the_results_own_tuple():
+    result = scan_pseudoprimes("fermat2", 2, 700)
+    assert scan_to_payload(result)["pseudoprimes"] is result.pseudoprimes
 
 
 def test_scan_json_writes_large_bounds_exactly(capsys):
@@ -665,7 +702,7 @@ def test_argparse_usage_error_exits_2():
 
 
 JSON_TEXT = st.text(st.sampled_from('a9 "\\/\n\t\x00\x1f\x7fé€\U0001d11e')) | st.text()
-# A triangle row as table_to_payload writes it, and the same row with one
+# A triangle row as strings, as render_json writes it, and the same row with one
 # item that json.dumps must escape, so render_json cannot join it verbatim.
 DECIMALS = (["-12", "0", "7/3"] * 334)[:1000]
 
@@ -690,13 +727,13 @@ JSON_VALUES = st.recursive(
 @example("c", {}, {"rows": [with_middle("\\")]})
 @example("c", {}, {"rows": [with_middle("\x7f")]})
 @example("c", {}, {"rows": [with_middle("é")]})
-@example("c", {}, {"rows": [["1", 2, "3"], ("4", -5)]})
+@example("c", {}, {"rows": [["1", 2, "3"], ["4", -5]]})
 @example("c", {}, {"rows": [["1", "", "2"], [""]]})
-# Decimals, written by one %-format call each: empty, a 1-tuple, negative
+# Tuples, written by one %-format call each: empty, a 1-tuple, negative
 # ints and Fractions, compared as the lists of their strings.
-@example("c", {}, {"rows": [Decimals(), Decimals([7]), Decimals([-7]), [Decimals()]]})
-@example("c", {}, {"rows": [Decimals([-12, 0, -(2**70)]), Decimals([Fraction(-7, 3), 5])]})
-@example("loggf", {}, {"g": Decimals([Fraction(1, 2)]), "h": Decimals(range(-3, 3))})
+@example("c", {}, {"rows": [(), (7,), (-7,), [()]]})
+@example("c", {}, {"rows": [(-12, 0, -(2**70)), (Fraction(-7, 3), 5)]})
+@example("loggf", {}, {"g": (Fraction(1, 2),), "h": tuple(range(-3, 3))})
 def test_render_json_matches_json_dumps(command, inputs, result):
     expected = json.dumps(
         {"command": command, "input": inputs, "result": as_strings(result)}, indent=2
@@ -743,8 +780,8 @@ EXACT = (
 
 
 def as_strings(value):
-    """value with each Decimals list replaced by the list of its str()."""
-    if isinstance(value, Decimals):
+    """value with each tuple replaced by the list of its items' str()."""
+    if isinstance(value, tuple):
         return [str(v) for v in value]
     if isinstance(value, dict):
         return {key: as_strings(item) for key, item in value.items()}
@@ -754,7 +791,7 @@ def as_strings(value):
 
 
 MARKED = st.recursive(
-    st.lists(EXACT, max_size=12).map(Decimals) | JSON_VALUES,
+    st.lists(EXACT, max_size=12).map(tuple) | JSON_VALUES,
     lambda inner: st.lists(inner) | st.dictionaries(JSON_TEXT, inner),
     max_leaves=10,
 )
@@ -762,9 +799,9 @@ MARKED = st.recursive(
 
 @settings(max_examples=100)
 @given(MARKED)
-@example(Decimals())
-@example(Decimals([-(10**4400), 0, 7, Fraction(-7, 3)]))
-@example([Decimals([1]), {"k": Decimals([Fraction(1, 2)])}])
+@example(())
+@example((-(10**4400), 0, 7, Fraction(-7, 3)))
+@example([(1,), {"k": (Fraction(1, 2),)}])
 def test_render_json_writes_decimals_as_their_strings(marked):
     # str() of ints past CPython's 4300-digit limit (3.10.7+), as main() allows
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -23,6 +23,8 @@ twice; its twin is cited instead:
   tests/test_cli.py::test_loggf_json_round_trips.
 - an invalid scan range exits 2 before the series is built:
   tests/test_cli.py::test_invalid_generic_scan_exits_2_before_building_its_series.
+- `witness --test fermat2 --n 7 --seq ones` exits 2, since a named test
+  takes no series: tests/test_cli.py::test_named_test_rejects_seq_and_order[witness-seq].
 - `theorem --seq ones --n 200` is 2^200 - 1 through the packed kernel:
   tests/test_acceptance.py::test_criterion_2_all_ones_gives_mersenne_numbers
   (n to 64, 64 support terms, so the packed kernel too).
