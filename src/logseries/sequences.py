@@ -20,7 +20,6 @@ missing trailing coefficients are 0.
 from __future__ import annotations
 
 import itertools
-import math
 from pathlib import Path
 
 from ._value import Value, _prime_flags, set_field
@@ -66,7 +65,12 @@ def _primes1_values(order: int) -> list[int]:
 
 
 def _catalan_shifted_values(order: int) -> list[int]:
-    return [math.comb(2 * m, m) // (m + 1) for m in range(order)]
+    """Catalan(m) for m < order, by Catalan(m+1) = Catalan(m) * 2(2m+1) / (m+2),
+    whose division is exact."""
+    values = [c := 1]
+    for m in range(order - 1):
+        values.append(c := c * (4 * m + 2) // (m + 2))
+    return values
 
 
 def parse_coefficient_text(text: str, *, path: str = "<inline>") -> list[int]:
@@ -93,7 +97,10 @@ def load_coefficient_file(path: str | Path) -> list[int]:
 
 
 def make_series(spec: SequenceSpec) -> IntSeries:
-    """Materialize a SequenceSpec: its kind's values, cut to its order by IntSeries.from_values."""
+    """Materialize a SequenceSpec: its kind's values, cut to its order.
+
+    Every value is an int made here (file and inline text through int()),
+    so the series is built without IntSeries' per-coefficient checks."""
     order = spec.order
     kind = spec.kind
     if kind == "ones":
@@ -115,4 +122,4 @@ def make_series(spec: SequenceSpec) -> IntSeries:
             values = [int(part) for part in fields]
         except ValueError:
             raise ValueError(f"inline coefficients must be integers: {body!r}") from None
-    return IntSeries.from_values(values, order)
+    return IntSeries._of_ints(order, values)

@@ -73,6 +73,15 @@ class IntSeries(Value):
         n = order if order is not None else len(vals)
         return cls(n, dict(zip(range(1, n + 1), vals)))
 
+    @classmethod
+    def _of_ints(cls, order: int, values: Iterable[int]) -> IntSeries:
+        """from_values for ints the package made itself (make_series, order
+        >= 1), which skips from_values' per-coefficient checks."""
+        series = object.__new__(cls)
+        set_field(series, "order", order)
+        set_field(series, "coeffs", {i: v for i, v in zip(range(1, order + 1), values) if v})
+        return series
+
     def coeff(self, n: int) -> int:
         if n < 1 or n > self.order:
             raise IndexError(f"index {n} outside 1..{self.order}")

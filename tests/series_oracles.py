@@ -122,3 +122,8 @@ def primes1_values(order: int) -> list[int]:
             values.append(candidate)
         candidate += 1
     return values[:order]
+
+
+def catalan_shifted_values(order: int) -> list[int]:
+    """Catalan(m) = C(2m, m) / (m + 1) for m < order, from math.comb."""
+    return [math.comb(2 * m, m) // (m + 1) for m in range(order)]

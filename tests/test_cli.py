@@ -120,6 +120,17 @@ def test_loggf_json_round_trips(capsys):
     assert result["ng"][-1] == "92378"
 
 
+def test_loggf_json_n_times_g_is_ng_at_every_n(capsys):
+    # g is a 300-item tuple of Fractions, rendered in several pieces.
+    code, out, err = run(capsys, "loggf", "--seq", "fib-gf", "--order", "300", "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert len(result["g"]) == len(result["ng"]) == 300 > 2 * cli.ITEMS_PER_PIECE
+    assert all(
+        n * Fraction(g) == int(ng) for n, (g, ng) in enumerate(zip(result["g"], result["ng"]), 1)
+    )
+
+
 def test_loggf_payload_holds_the_results_own_tuples():
     ls = log_superposition(make_series(SequenceSpec("fib-gf", 30)), 30)
     payload = loggf_to_payload(ls)
@@ -711,6 +722,15 @@ def with_middle(item: str) -> list[str]:
     return DECIMALS[:500] + [item] + DECIMALS[501:]
 
 
+# Tuples of exact values at render_json's piece boundaries: one item short of
+# a piece, one piece, one item over, and two pieces and one item, each with
+# negative ints and Fractions, the first item negative.
+PIECE = cli.ITEMS_PER_PIECE
+BOUNDARY_TUPLES = [
+    tuple(([-12, 0, Fraction(-7, 3), 5, -(2**70)] * 3 * PIECE)[:size])
+    for size in (PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 1)
+]
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | JSON_TEXT,
     lambda inner: st.lists(inner) | st.dictionaries(JSON_TEXT, inner),
@@ -729,11 +749,13 @@ JSON_VALUES = st.recursive(
 @example("c", {}, {"rows": [with_middle("é")]})
 @example("c", {}, {"rows": [["1", 2, "3"], ["4", -5]]})
 @example("c", {}, {"rows": [["1", "", "2"], [""]]})
-# Tuples, written by one %-format call each: empty, a 1-tuple, negative
-# ints and Fractions, compared as the lists of their strings.
+# Tuples, each written in pieces of cli.ITEMS_PER_PIECE items: empty, a
+# 1-tuple, negative ints and Fractions, compared as the lists of their strings.
 @example("c", {}, {"rows": [(), (7,), (-7,), [()]]})
 @example("c", {}, {"rows": [(-12, 0, -(2**70)), (Fraction(-7, 3), 5)]})
 @example("loggf", {}, {"g": (Fraction(1, 2),), "h": tuple(range(-3, 3))})
+@example("c", {}, {"rows": BOUNDARY_TUPLES})
+@example("loggf", {}, {"g": BOUNDARY_TUPLES[3], "h": [BOUNDARY_TUPLES[0], {"k": BOUNDARY_TUPLES[2]}]})
 def test_render_json_matches_json_dumps(command, inputs, result):
     expected = json.dumps(
         {"command": command, "input": inputs, "result": as_strings(result)}, indent=2
@@ -802,6 +824,8 @@ MARKED = st.recursive(
 @example(())
 @example((-(10**4400), 0, 7, Fraction(-7, 3)))
 @example([(1,), {"k": (Fraction(1, 2),)}])
+@example(BOUNDARY_TUPLES)
+@example(BOUNDARY_TUPLES[1] + (-(10**4400),))
 def test_render_json_writes_decimals_as_their_strings(marked):
     # str() of ints past CPython's 4300-digit limit (3.10.7+), as main() allows
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -817,3 +841,40 @@ def test_render_json_writes_decimals_as_their_strings(marked):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+# Renders the largest table of the triangle-sparse benchmark (fib-gf at order
+# 650) to devnull, after a render at order 5 has warmed the code, and prints
+# the rise of the process's peak RSS (VmHWM) over that render in KiB.
+RENDER_PEAK_CHILD = """
+import os
+from logseries import SequenceSpec, compositae_dp, make_series
+from logseries.cli import render_json, table_to_payload
+
+def payload(order):
+    return table_to_payload(compositae_dp(make_series(SequenceSpec("fib-gf", order)), order))
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+small, large = payload(5), payload(650)
+with open(os.devnull, "w") as out:
+    render_json(out.write, "compositae", {"seq": "fib-gf", "order": 5}, small)
+    before = peak_kib()
+    render_json(out.write, "compositae", {"seq": "fib-gf", "order": 650}, large)
+    print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
+def test_rendering_a_large_table_barely_raises_the_peak_rss():
+    # One %-format call per 650-item row raised the peak by about 0.97 MB;
+    # pieces of cli.ITEMS_PER_PIECE items raise it by about 0.16 MB.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", RENDER_PEAK_CHILD], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) / 1024 < 0.3

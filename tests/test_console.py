@@ -31,6 +31,8 @@ twice; its twin is cited instead:
 - `compositae --seq ones --order 300 --format json` parses whole:
   tests/test_cli.py::test_compositae_json_text_is_json_dumps_of_the_string_rows
   and tests/test_cli.py::test_main_renders_each_row_as_json_dumps.
+- `loggf --seq fib-gf --order 300 --format json` parses whole, with
+  n*g(n) = ng(n) at every n: tests/test_cli.py::test_loggf_json_n_times_g_is_ng_at_every_n.
 """
 
 import os

@@ -12,7 +12,7 @@ from logseries import (
     make_series,
     parse_coefficient_text,
 )
-from series_oracles import primes1_values
+from series_oracles import catalan_shifted_values, primes1_values
 
 
 def test_ones():
@@ -54,6 +54,13 @@ def test_catalan_shifted():
     assert [f.coeff(i) for i in range(1, 8)] == [1, 1, 2, 5, 14, 42, 132]
     # closed form of the m-th Catalan number
     assert f.coeff(7) == math.comb(12, 6) // 7
+
+
+@pytest.mark.parametrize("order", [1, 2000])
+def test_catalan_shifted_recurrence_matches_the_binomial_closed_form(order):
+    # Catalan(m) for every m < order, built by the recurrence, against math.comb.
+    f = make_series(SequenceSpec("catalan-shifted", order))
+    assert f.coeffs == dict(enumerate(catalan_shifted_values(order), start=1))
 
 
 def test_inline():
