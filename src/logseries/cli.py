@@ -75,8 +75,8 @@ DEFAULT_ORDER = 64
 # The largest order of the table commands (compositae, loggf, theorem),
 # which build a triangle of about order^2/2 big ints.  For ones, the
 # densest built-in kind, `compositae --order 1000 --format json` took
-# 19 s and 160 MB and --order 1500 took 83 s and 465 MB on 2 vCPUs: time
-# grows about as order^4 and memory as order^3.  witness and scan stay
+# 6.4 s and 188 MB and --order 1500 took 29 s and 581 MB on 2 vCPUs: time
+# grows about as order^3.7 and memory as order^2.8.  witness and scan stay
 # uncapped: they stream O(order) values, and sparse series need large
 # orders there.
 MAX_TABLE_ORDER = 1000

@@ -15,8 +15,10 @@ PACKED_MIN_SUPPORT = 16 nonzero terms up to the order, one int per row
 by Kronecker substitution (Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", J. Symb. Comput. 44, 2009).  The
 packed slots are W whole bytes, from the bound |F_delta(n, k)| <= h_|f|(n)
-plus a sign bit, and cost about order^2 * W / 2 extra bits.  The kernels
-crossed over at 8-12 support terms for orders 150-500.
+plus a sign bit, and cost about order^2 * W / 2 extra bits.  Each packed
+row sums its terms shortest first, so its running sum is copied at full
+length only once.  The kernels cross over at 6-16 support terms for
+orders 150-500.
 
 The row sums h(n) of the triangle and n*g(n) = sum_k (n/k) F_delta(n, k)
 also stream, with no triangle, from _h_and_ng (H = 1/(1-F), G' = F' H),
@@ -78,9 +80,11 @@ def compositae_dp(f: IntSeries, order: int) -> CompositaeTable:
     bits, W the whole bytes that hold h_|f|(n) >= |F_delta(n, k)| and a
     sign bit.  The packed rows take about order^2 * W / 2 bits beside the
     table; at order 200, W is 208 for ones and about 1050 for signed 8-bit
-    values.  The kernels crossed over at 8-12 support terms for orders
-    150-500: from 12 terms packing was 1.2-3.9x faster, at 4 terms 1.2-1.6x
-    slower.  Both give the same table.
+    values.  For f(1..s) all ones, the kernels cross over at s = 8, 10 and
+    16 for orders 150, 300 and 500; for small signed values at s = 6, 6
+    and 8.  At 16 terms, the cut-off, packing is 1.2-2.6x faster at every
+    order measured; at 4 terms it is 1.2-2.7x slower.  Both give the same
+    table.
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
@@ -191,9 +195,15 @@ def _packed_rows(f: IntSeries, order: int) -> tuple[tuple[int, ...], ...]:
     """Rows 1..order by Kronecker substitution: row n is one integer.
 
     P_n = sum_k F_delta(n, k) 2^((k-1) W), so the recurrence becomes
-    P_n = f(n) + (sum_{(m, c)} c P_{n-m}) << W.  Adding 2^(W-1) to every
-    slot makes each slot's bytes the unsigned F_delta(n, k) + 2^(W-1),
-    which one to_bytes and one from_bytes per slot read back.
+    P_n = f(n) + (sum_{(m, c)} c P_{n-m}) << W.  The sum walks the support
+    from its largest m down, so the rows P_{n-m} come shortest first.  An
+    int is immutable and each += copies the whole sum so far, so the sum
+    reaches full length only at its last term; longest first, every term
+    would copy a full-length row, about twice the bits the terms hold for
+    a dense support.  c = +-1 adds or subtracts with no multiply.  Adding
+    2^(W-1) to every slot makes each slot's bytes the unsigned
+    F_delta(n, k) + 2^(W-1), which one to_bytes and one from_bytes per
+    slot read back.
     """
     support = _support(f, order)
     width = _slot_bytes(support, order)
@@ -203,12 +213,18 @@ def _packed_rows(f: IntSeries, order: int) -> tuple[tuple[int, ...], ...]:
     slots = [slice(i, i + width) for i in range(0, order * width, width)]
     packed = [0]
     rows: list[tuple[int, ...]] = []
+    live: list[tuple[int, int]] = []  # the (m, c) with m < n, largest m first
     for n in range(1, order + 1):
+        if len(live) < len(support) and support[len(live)][0] < n:
+            live.insert(0, support[len(live)])
         acc = 0
-        for m, c in support:
-            if m >= n:
-                break
-            acc += c * packed[n - m]
+        for m, c in live:
+            if c == 1:
+                acc += packed[n - m]
+            elif c == -1:
+                acc -= packed[n - m]
+            else:
+                acc += c * packed[n - m]
         packed.append(f.coeffs.get(n, 0) + (acc << shift))
         data = (packed[n] + (bias >> (order - n) * shift)).to_bytes(n * width, "little")
         values = map(int.from_bytes, map(data.__getitem__, slots[:n]), itertools.repeat("little"))

@@ -155,6 +155,23 @@ def test_theorem_ones_n10(capsys):
     assert doc["input"]["n"] == doc["result"]["n"] == "10"
 
 
+@pytest.mark.parametrize(
+    "values, value",
+    [
+        # F = x/(1+x), so G = ln(1+x) and n*g(n) = (-1)^(n+1)
+        (["1", "-1"] * 100, -1),
+        # F = 2x/(1-x), so G = ln((1-x)/(1-3x)) and n*g(n) = 3^n - 1
+        (["2"] * 200, 3**200 - 1),
+    ],
+    ids=["alternating-ones", "twos"],
+)
+def test_theorem_200_through_the_packed_kernel(capsys, values, value):
+    # 200 support terms: the packed kernel, its c = +-1 branches and a general c
+    argv = ["theorem", "--seq", "inline:" + ",".join(values), "--n", "200", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["result"]["value"]) == (0, str(value))
+
+
 def test_theorem_zero_series(capsys):
     code, out, _ = run(capsys, "theorem", "--seq", "inline:0", "--n", "5")
     assert code == 0

@@ -107,11 +107,39 @@ def _signed_dense(order):
     return IntSeries.from_values([rng.randint(1, 255) * rng.choice((1, -1)) for _ in range(order)])
 
 
+def _signed(values, start=1):
+    """Consecutive coefficients from index `start`, alternating in sign."""
+    return {m: (-1) ** (m - start) * v for m, v in enumerate(values, start=start)}
+
+
+def _mixed(order):
+    """Every m <= order but the multiples of 3, with c cycling through 1, -1 and general values."""
+    cs = (1, -1, 7, -1, 1, -200)
+    return {m: cs[i % len(cs)] for i, m in enumerate(m for m in range(1, order + 1) if m % 3)}
+
+
+SHAPES = {
+    "signed-8-bit": _signed_dense,
+    "alternating": lambda order: IntSeries(order, _signed([1] * order)),
+    "mixed": lambda order: IntSeries(order, _mixed(order)),
+}
+
+
 @pytest.mark.parametrize(
-    "kind,order", [("ones", 150), ("primes1", 150), ("catalan-shifted", 150), ("signed-8-bit", 120)]
+    "kind,order",
+    [
+        ("ones", 150),
+        ("primes1", 150),
+        ("catalan-shifted", 150),
+        ("signed-8-bit", 120),
+        # the bench's sizes: slots of about 1000 bits, c = +-1 alone, and gaps
+        ("signed-8-bit", 200),
+        ("alternating", 200),
+        ("mixed", 200),
+    ],
 )
 def test_packed_kernel_matches_entry_kernel(kind, order):
-    f = _signed_dense(order) if kind == "signed-8-bit" else make_series(SequenceSpec(kind, order))
+    f = SHAPES[kind](order) if kind in SHAPES else make_series(SequenceSpec(kind, order))
     assert _packed_rows(f, order) == _entry_rows(f, order)
 
 
@@ -263,13 +291,13 @@ def test_dp_matches_bruteforce(f, data):
 
 
 @st.composite
-def wide_series(draw):
+def wide_series(draw, max_order=40):
     """Orders past the brute-force cap; unit, small, byte-boundary and huge coefficients.
 
     Half the draws ask for at least PACKED_MIN_SUPPORT entries, so both
     kernels of compositae_dp are reached (zeros drop out of the support).
     """
-    order = draw(st.integers(min_value=12, max_value=40))
+    order = draw(st.integers(min_value=12, max_value=max_order))
     value = (
         st.sampled_from((0, 1, -1, 2, -2, 127, -128, 255, -256))
         | st.integers(-10**6, 10**6)
@@ -278,11 +306,6 @@ def wide_series(draw):
     min_size = draw(st.sampled_from((0, min(order, PACKED_MIN_SUPPORT))))
     keys = st.integers(1, order)
     return IntSeries(order, draw(st.dictionaries(keys, value, min_size=min_size, max_size=order)))
-
-
-def _signed(values, start=1):
-    """Consecutive coefficients from index `start`, alternating in sign."""
-    return {m: (-1) ** (m - start) * v for m, v in enumerate(values, start=start)}
 
 
 @settings(max_examples=25, deadline=None)
@@ -311,11 +334,14 @@ def _signed(values, start=1):
 # and the same values once products appear
 @example(IntSeries(40, {m: -127 for m in range(16, 32)}))
 @example(IntSeries(40, _signed([128, -255, 256] * 6, start=8)))
+# the packed kernel's c = +-1 branches alone, then mixed with general c over gaps
+@example(SHAPES["alternating"](40))
+@example(SHAPES["mixed"](40))
 def test_dp_matches_powers_of_f(f):
     # F_delta(n, k) is the coefficient of x^n in F^k; the examples reach the
-    # entry kernel's c = 1, c = -1 and general-c branches, both for the first
-    # support term (which assigns its slice) and for later ones, f(1) = 0,
-    # and the packed kernel on each side of its slot-width steps.
+    # c = 1, c = -1 and general-c branches of both kernels, the entry
+    # kernel's first support term (which assigns its slice) and later ones,
+    # f(1) = 0, and the packed kernel on each side of its slot-width steps.
     table = compositae_dp(f, f.order)
     rat = RatSeries(f.order, f.coeffs)
     power = rat
@@ -323,6 +349,21 @@ def test_dp_matches_powers_of_f(f):
         for n in range(k, f.order + 1):
             assert table.value(n, k) == power.coeff(n), (n, k)
         power = series_mul(power, rat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_series(max_order=60))
+@example(IntSeries(60, {1: -1, 3: 2, 7: -3}))
+@example(SHAPES["mixed"](60))
+def test_row_moments_match_the_stream(f):
+    # sum_k F_delta(n, k) is h(n) of 1/(1 - F), and sum_k (-1)^k F_delta(n, k)
+    # is h(n) of 1/(1 + F): _h_and_ng on f and on -f, with no table.
+    rows = compositae_dp(f, f.order).rows
+    h = [hn for hn, _ in _h_and_ng(f, f.order)]
+    negated = IntSeries(f.order, {m: -c for m, c in f.coeffs.items()})
+    h_alt = [hn for hn, _ in _h_and_ng(negated, f.order)]
+    assert [sum(row) for row in rows] == h[1:]
+    assert [sum(row[1::2]) - sum(row[::2]) for row in rows] == h_alt[1:]
 
 
 # ---------------------------------------------------------------------------

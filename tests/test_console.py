@@ -28,6 +28,10 @@ twice; its twin is cited instead:
 - `theorem --seq ones --n 200` is 2^200 - 1 through the packed kernel:
   tests/test_acceptance.py::test_criterion_2_all_ones_gives_mersenne_numbers
   (n to 64, 64 support terms, so the packed kernel too).
+- `theorem --seq inline:1,-1,... --n 200` is -1 and `theorem --seq
+  inline:2,2,... --n 200` is 3^200 - 1, through the packed kernel's
+  c = +-1 and general-c terms:
+  tests/test_cli.py::test_theorem_200_through_the_packed_kernel.
 - `compositae --seq ones --order 300 --format json` parses whole:
   tests/test_cli.py::test_compositae_json_text_is_json_dumps_of_the_string_rows
   and tests/test_cli.py::test_main_renders_each_row_as_json_dumps.
