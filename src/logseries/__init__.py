@@ -26,10 +26,7 @@ NAMED_TESTS = (FERMAT2, LUCAS, CENTRAL_BINOMIAL)
 
 _EXPORTS = {
     "compositae": ("CompositaeTable", "compositae_dp"),
-    "sequences": (
-        "BUILTIN_KINDS", "CoefficientFileError", "SequenceSpec", "load_coefficient_file",
-        "make_series", "parse_coefficient_text",
-    ),
+    "sequences": ("CoefficientFileError", "SequenceSpec", "make_series"),
     "series": ("IntSeries", "RatSeries"),
     "superposition": (
         "IntegralityError", "LogSuperposition", "corollary_sum", "log_superposition",

@@ -9,7 +9,7 @@ therefore a proof of compositeness; residue 0 proves nothing (composite
 passers are pseudoprimes for the chosen series).  A prime with a nonzero
 residue can only come from a defect, and raises ArithmeticError
 (_report).  Three specializations have closed forms and run in modular
-arithmetic, without any series and for any n:
+arithmetic, without any series, for any n (central-binomial to 10**8):
 
     ones (f(i) = 1):        residue of 2^n - 2            (fermat2)
     x + x^2:                residue of L_n - 1            (lucas)
@@ -88,10 +88,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BASE_COUNTS = ((341550071728321, 7), (3825123056546413051, 9), (318665857834031151167461, 12))
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
-# witness_central_binomial holds O(log n) values, but for q^a || n with q in
-# {2, 3} and a >= 2 it takes O(q^a) steps, so n is capped for time: below the
-# cap n = 2 * 3^16 takes about 2 s and n = 2^26 about 1.2 s (CPython 3.11,
-# 2 vCPUs), and 2^40 would take hours.
+# Jacobsthal's congruence C(kq, lq) = C(k, l) mod q^e, q^e || q^3 k l (k - l),
+# holds for primes q >= 5, and for q = 3 and 2 with e lowered by 1 and by 2
+# (Granville, "Binomial coefficients modulo prime powers", 1997).  At k = 2l it
+# gives CB(N) = CB(N/q) mod q^(3 v_q(N) - loss_q): for q = 2, v_2(k) = 1 adds
+# one back, and CB(N) = C(2N, N)/2 takes one.
+_JACOBSTHAL_LOSS = {2: 2, 3: 1}
+
+# witness_central_binomial holds O(log n) values and is capped for time: below
+# the cap no n found takes over 8 ms (2^17 * 761 in the q-free pass, 6907 *
+# 13829 in the digit binomials; CPython 3.11, 2 vCPUs), but the trial division
+# of _factorize and the exact digit binomials grow about as sqrt(n) above it.
 CENTRAL_BINOMIAL_MAX_N = 10**8
 
 
@@ -324,18 +331,15 @@ def witness_central_binomial(n: int) -> WitnessReport:
 
     - a = 1: Lucas's theorem on the base-q digits of 2n-1 and n-1;
     - a >= 2: CB(m) mod q^a from the q-free parts of its factorials
-      (_central_binomial_mod_prime_power), at m = n for q in {2, 3}.  For
-      q >= 5, Jacobsthal's congruence C(2mq, mq) = C(2m, m) mod
-      q^(3 + 3 v_q(m)) gives CB(n/q^i) = CB(n/q^(i+1)) mod q^(3(a-i)).
-      Chained j = min(a, floor(2a/3) + 1) times it holds mod
-      q^(3(a-j+1)), at least q^a, so CB(n) = CB(n/q^j) mod q^a: m = n/q^j.
+      (_central_binomial_mod_prime_power) at m = n/q^j.  Jacobsthal's
+      congruence CB(N) = CB(N/q) mod q^(3 v_q(N) - loss_q)
+      (_JACOBSTHAL_LOSS), chained j = min(a, floor((2a - loss_q)/3) + 1)
+      times from N = n, holds mod q^(3(a-j+1) - loss_q) >= q^a.
 
     The residues are joined by the Chinese remainder theorem.  Every route
-    holds O(log n) values, but for q in {2, 3} the second takes O(q^a)
-    steps, so n is limited to CENTRAL_BINOMIAL_MAX_N (10**8; n = 2 * 3^16
-    takes about 2 s); a larger n raises ValueError before any work.
-    References: Granville, "Binomial coefficients modulo prime powers"
-    (1997).
+    holds O(log n) values; n is limited to CENTRAL_BINOMIAL_MAX_N (10**8),
+    and a larger n raises ValueError before any work.  References:
+    Granville, "Binomial coefficients modulo prime powers" (1997).
     """
     if n < 2:
         raise ValueError("witness requires n >= 2")
@@ -346,7 +350,7 @@ def witness_central_binomial(n: int) -> WitnessReport:
         if a == 1:
             r = _binomial_mod_prime(2 * n - 1, n - 1, q)
         else:
-            j = min(a, 2 * a // 3 + 1) if q >= 5 else 0
+            j = min(a, (2 * a - _JACOBSTHAL_LOSS.get(q, 0)) // 3 + 1)
             r = _central_binomial_mod_prime_power(n // q**j, q, a)
         residue += modulus * ((r - residue) * pow(modulus, -1, qa) % qa)
         modulus *= qa
@@ -390,8 +394,8 @@ def _central_binomial_mod_prime_power(m: int, q: int, a: int) -> int:
     and u(k) is the product of the j <= k prime to q.  Mod q^a, u(k) =
     eps^floor(k/q^a) u(k mod q^a) with eps = u(q^a - 1) = -1, or +1 for
     q = 2, a >= 3 (Gauss's generalization of Wilson's theorem).  One pass
-    below q^a, seeded with u(q^a - 1), gives every u needed: O(q^a) steps,
-    O(log m) values held.
+    up to the largest k mod q^a, seeded with u(q^a - 1), gives every u
+    needed: fewer than min(q^a, 2m) steps, O(log m) values held.
     """
     # floor(N/q^i), i >= 0, for the numerator (2m-1)! and the denominator (m-1)! m!
     top, bottom = [], []
@@ -408,11 +412,9 @@ def _central_binomial_mod_prime_power(m: int, q: int, a: int) -> int:
     eps = 1 if q == 2 and a >= 3 else -1
     u, acc, lo = {qa - 1: eps}, 1, 1
     for k in sorted({k % qa for k in top + bottom} - u.keys()):
-        # The j in [lo, k] prime to q, one residue class mod q at a time.
-        for first in range(lo, min(lo + q, k + 1)):
-            if first % q:
-                for j in range(first, k + 1, q):
-                    acc = acc * j % qa
+        for j in range(lo, k + 1):
+            if j % q:
+                acc = acc * j % qa
         u[k], lo = acc, k + 1
 
     def free_part(ks: list[int]) -> int:

@@ -13,6 +13,8 @@ twice; its twin is cited instead:
   tests/test_cli.py::test_witness_json_round_trips.
 - `witness --test central-binomial --n 27173` is a pseudoprime:
   tests/test_witnesses.py::test_central_binomial_27173_is_the_square_free_passer.
+- `witness --test central-binomial` residues at `--n 86093442` and
+  `--n 67108864`: tests/test_witnesses.py::test_central_binomial_at_2_3_16_and_2_26.
 - `witness --test generic --seq inline:0,1,1 --n 271441` is a pseudoprime:
   tests/test_cli.py::test_witness_generic_perrin_flags_271441.
 - the two `-X importtime` checks: `LOADS` in tests/test_lazy_imports.py

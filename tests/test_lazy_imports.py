@@ -99,7 +99,7 @@ def test_importing_the_package_loads_no_submodule_and_submodules_still_import():
 
 def test_every_public_name_is_its_defining_modules_object():
     assert logseries.__all__ == sorted(name for names in logseries._EXPORTS.values() for name in names)
-    assert len(set(logseries.__all__)) == len(logseries.__all__) == 33
+    assert len(set(logseries.__all__)) == len(logseries.__all__) == 30
     for module_name, names in logseries._EXPORTS.items():
         module = importlib.import_module(f"logseries.{module_name}")
         for name in names:

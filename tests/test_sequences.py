@@ -5,13 +5,8 @@ import math
 import pytest
 import sympy
 
-from logseries import (
-    CoefficientFileError,
-    IntSeries,
-    SequenceSpec,
-    make_series,
-    parse_coefficient_text,
-)
+from logseries import CoefficientFileError, IntSeries, SequenceSpec, make_series
+from logseries.sequences import parse_coefficient_text
 from series_oracles import catalan_shifted_values, primes1_values
 
 

@@ -250,7 +250,7 @@ def test_central_binomial_examples():
 
 
 def test_central_binomial_matches_exact_binomial():
-    for n in range(2, 1201):
+    for n in range(2, 3001):
         assert witness_central_binomial(n).residue == (math.comb(2 * n - 1, n - 1) - 1) % n, n
 
 
@@ -280,11 +280,47 @@ def test_central_binomial_powers_of_2_and_3_take_the_prime_power_route(monkeypat
         return real(m, q, a)
 
     monkeypatch.setattr(witnesses, "_central_binomial_mod_prime_power", spy)
-    for q, a in [(2, a) for a in range(2, 15)] + [(3, a) for a in range(2, 10)]:
-        n = q**a
-        calls.clear()
-        assert witness_central_binomial(n).residue == _central_binomial_oracle(n), n
-        assert calls == [(n, q, a)]
+    # m = q^a / q^j, with j = min(a, floor((2a - loss_q)/3) + 1) steps of
+    # Jacobsthal's congruence: loss_q is 2 for q = 2 and 1 for q = 3.
+    reduced = {
+        2: {2: 2, 3: 2, 4: 2, 5: 4, 6: 4, 7: 4, 8: 8, 9: 8, 10: 8, 11: 16, 12: 16, 13: 16, 14: 32},
+        3: {2: 1, 3: 3, 4: 3, 5: 3, 6: 9, 7: 9, 8: 9, 9: 27},
+    }
+    for q, ms in reduced.items():
+        for a, m in ms.items():
+            n = q**a
+            calls.clear()
+            assert witness_central_binomial(n).residue == _central_binomial_oracle(n), n
+            assert calls == [(m, q, a)]
+
+
+def test_jacobsthal_step_congruence_matches_exact_binomial():
+    # CB(N) = CB(N/q) mod q^(3 v_q(N) - loss_q), the step the witness chains:
+    # a loss below Granville's (2 for q = 2, 1 for q = 3) fails here.
+    cb = [None] + [math.comb(2 * n - 1, n - 1) for n in range(1, 3000)]
+    for q in (2, 3, 5, 7):
+        for n in range(q, 3000, q):
+            v = next(i for i in itertools.count(1) if n % q ** (i + 1))
+            exponent = 3 * v - witnesses._JACOBSTHAL_LOSS.get(q, 0)
+            assert (cb[n] - cb[n // q]) % q**exponent == 0, (n, q)
+
+
+@pytest.mark.parametrize("q, max_a", [(2, 18), (3, 11)])
+def test_central_binomial_reduced_route_matches_the_unreduced_pass(q, max_a):
+    # The q-free pass at m = n itself, over all of [1, q^a), against the
+    # witness, which reduces n by Jacobsthal's congruence first.
+    for a in range(2, max_a + 1):
+        for c in (1, 5, 7, 143):
+            n = q**a * c
+            unreduced = witnesses._central_binomial_mod_prime_power(n, q, a)
+            assert (witness_central_binomial(n).residue + 1) % q**a == unreduced, (q, a, c)
+
+
+def test_central_binomial_at_2_3_16_and_2_26():
+    # The two slowest n below the cap for the unreduced pass; both residues
+    # are its output.  The CI console-script step greps for them.
+    assert witness_central_binomial(86093442).residue == 1344737
+    assert witness_central_binomial(67108864).residue == 56238370
 
 
 def _legendre_central_binomial(m, mod):
